@@ -17,8 +17,11 @@ GATE_BENCHTIME = 200ms
 # Default: the tier-1 verification plus static analysis.
 check: build vet test
 
+# perfbench/ is a module of its own (replace flexdp => ../), so ./... never
+# compiles it; vetting it here catches engine API changes that break it.
 build:
 	$(GO) build ./...
+	$(GO) -C perfbench vet ./...
 
 test:
 	$(GO) test ./...
@@ -65,8 +68,8 @@ bench-spill:
 		-bench 'BenchmarkSpillJoin|BenchmarkSpillSort|BenchmarkSpillAggregate|BenchmarkHashJoin|BenchmarkGroupByAggregate' \
 		-benchtime 1s
 
-# Streamed executor vs the materialized one on the same scan → filter →
-# group-by plan: the streamed run must be no slower (it is the default).
+# The streaming executor on a scan → filter → group-by plan, plain and with
+# an execution trace attached.
 bench-streaming:
 	$(GO) test ./internal/engine -run '^$$' \
 		-bench 'BenchmarkStreamingPipeline' \
@@ -92,13 +95,13 @@ bench-telemetry:
 		-pair 'BenchmarkStreamingPipeline/profiled=BenchmarkStreamingPipeline/streamed' \
 		-pair-threshold 0.02
 
-# Vectorized kernels vs the row-at-a-time closures, one worker: the
-# scalar/vector sub-benchmark pairs isolate the batching speedup itself
-# from parallel scaling.
+# The vectorized filter and projection kernels at one worker, isolating
+# batch evaluation from parallel scaling. -benchmem reports allocs/op, which
+# does not depend on the machine.
 bench-vector:
 	$(GO) test ./internal/engine -run '^$$' \
-		-bench 'BenchmarkVectorFilter|BenchmarkVectorProject' \
-		-benchtime 1s
+		-bench 'BenchmarkVectorFilter/vector|BenchmarkVectorProject/vector' \
+		-benchtime 1s -benchmem
 
 # Query-lifecycle fault suite, all under the race detector: spill fault
 # injection (ENOSPC, failed open/create), mid-query cancellation, panic
@@ -137,7 +140,8 @@ test-telemetry:
 # DISTINCT/set-operation key set over 64 KiB goes out-of-core, and the
 # differential guarantee says nothing may change. The adversarial 512 B leg
 # drives maximum partitioning depth under the same guarantee — including
-# the vectorized-vs-scalar differential suite.
+# the differential suites, which check every result against the recorded
+# reference digests (internal/engine/testdata/reference_digests.txt).
 test-lowmem:
 	FLEX_TEST_MEMORY_BUDGET=64KiB $(GO) test ./internal/engine/...
 	FLEX_TEST_MEMORY_BUDGET=512B $(GO) test ./internal/engine/...
@@ -151,6 +155,7 @@ lint:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 	$(GO) run ./cmd/flexlint ./...
 
 # The invariant analyzers alone (faster iteration than full lint).

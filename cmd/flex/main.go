@@ -43,7 +43,7 @@ func main() {
 	eps := flag.Float64("eps", 0.1, "privacy budget ε")
 	delta := flag.Float64("delta", 0, "privacy parameter δ (default n^(-ln n))")
 	analyzeOnly := flag.Bool("analyze", false, "analyze only; do not execute")
-	seed := flag.Int64("seed", 0, "noise seed (0 = time-based)")
+	seed := flag.Int64("seed", 0, "noise seed (0 = fresh crypto/rand seed; nonzero = fixed, reproducible noise for experiments only)")
 	flag.Parse()
 
 	if *query == "" {
@@ -63,7 +63,17 @@ func main() {
 		}
 	}
 
-	sys := flex.NewSystem(db, flex.Options{Seed: *seed})
+	// The noise-source mode goes to stderr; the seed itself never does.
+	noiseSeed, fixed, err := smooth.ResolveSeed(*seed)
+	if err != nil {
+		fatal("seeding the noise source: %v", err)
+	}
+	if fixed {
+		fmt.Fprintln(os.Stderr, "flex: noise source: fixed seed from -seed (reproducible; experiments only)")
+	} else {
+		fmt.Fprintln(os.Stderr, "flex: noise source: fresh seed from crypto/rand")
+	}
+	sys := flex.NewSystem(db, flex.Options{Seed: noiseSeed})
 	if *public != "" {
 		sys.MarkPublic(strings.Split(*public, ",")...)
 	}

@@ -69,6 +69,22 @@ func fatal(logger *slog.Logger, msg string, args ...any) {
 	os.Exit(1)
 }
 
+// resolveSeed turns the -seed flag into the System's noise seed and logs
+// which noise-source mode is active — never the seed itself, which would
+// let anyone reading the log replay the noise and subtract it.
+func resolveSeed(flagSeed int64, logger *slog.Logger) (int64, error) {
+	seed, fixed, err := smooth.ResolveSeed(flagSeed)
+	if err != nil {
+		return 0, err
+	}
+	if fixed {
+		logger.Warn("noise source: fixed seed from -seed; noise is reproducible, use only for experiments and tests")
+	} else {
+		logger.Info("noise source: fresh seed from crypto/rand")
+	}
+	return seed, nil
+}
+
 // lifecycleArgs renders a lifecycle snapshot (or delta) as slog attributes,
 // one per counter, enumerated from the same Fields() the /metrics collectors
 // use — the drain and lifetime reports cannot drift from the scrape surface.
@@ -92,7 +108,7 @@ func main() {
 	analystEps := flag.Float64("analyst-budget", 0, "per-analyst privacy budget ε (0 = all analysts share the pool)")
 	analystDelta := flag.Float64("analyst-delta", 0, "per-analyst privacy budget δ (default: -max-delta)")
 	demo := flag.Bool("demo", false, "serve the synthetic rideshare dataset")
-	seed := flag.Int64("seed", 0, "noise seed (0 = nondeterministic per restart)")
+	seed := flag.Int64("seed", 0, "noise seed (0 = fresh crypto/rand seed per process; nonzero = fixed, reproducible noise for experiments only)")
 	parallelism := flag.Int("parallelism", 0, "engine worker goroutines per query (0 = one per CPU, 1 = serial)")
 	memoryBudget := flag.String("memory-budget", "0", `per-query engine memory budget (e.g. "256MiB"; joins/sorts over it spill to disk, 0 = unbounded)`)
 	tempDir := flag.String("temp-dir", "", "parent directory for spill files (default: OS temp dir)")
@@ -174,8 +190,15 @@ func main() {
 	// results are bit-identical at any -parallelism and -memory-budget, so
 	// the flags only trade per-query latency against cross-query throughput
 	// and memory headroom under load.
+	noiseSeed, err := resolveSeed(*seed, logger)
+	if err != nil {
+		if spillDir != "" {
+			os.RemoveAll(spillDir)
+		}
+		fatal(logger, "seeding the noise source", "error", err)
+	}
 	budget := smooth.NewBudget(*maxEps, *maxDelta)
-	sys := flex.NewSystem(db, flex.Options{Seed: *seed, Parallelism: *parallelism,
+	sys := flex.NewSystem(db, flex.Options{Seed: noiseSeed, Parallelism: *parallelism,
 		MemoryBudget: budgetBytes, TempDir: spillDir})
 	if *public != "" {
 		sys.MarkPublic(strings.Split(*public, ",")...)

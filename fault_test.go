@@ -3,6 +3,8 @@ package flex
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"sync/atomic"
 	"syscall"
@@ -145,6 +147,27 @@ func TestSpillFaultRefundsBudget(t *testing.T) {
 	}
 	if eps, _ := budget.Spent(); eps != 0.5 {
 		t.Fatalf("released answer charged ε=%g, want 0.5", eps)
+	}
+}
+
+// TestNonFiniteBoundRefundsBudget pins the fail-closed release path: a
+// value-range metric that makes Ŝ(k) non-finite must fail the run before
+// anything is released — an infinite bound would otherwise become an
+// infinite noise scale — and leave the budget uncharged, in both noise modes.
+func TestNonFiniteBoundRefundsBudget(t *testing.T) {
+	for _, mode := range []NoiseMode{ModeSmooth, ModeLocalK0} {
+		for _, vr := range []float64{math.Inf(1), math.NaN()} {
+			db := parallelTestSystemDB(t)
+			budget := smooth.NewBudget(100, 1e-2)
+			sys := NewSystem(db, Options{Seed: 87, Budget: budget, NoiseMode: mode})
+			sys.CollectMetrics()
+			sys.Metrics().SetVR("trips", "fare", vr)
+			when := fmt.Sprintf("mode=%d vr=%g", mode, vr)
+			if _, err := sys.Run(`SELECT SUM(fare) FROM trips`, 0.5, 1e-6); err == nil {
+				t.Fatalf("%s: run released an answer, want an error", when)
+			}
+			requireUncharged(t, budget, when)
+		}
 	}
 }
 

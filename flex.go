@@ -39,6 +39,7 @@ package flex
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -487,6 +488,9 @@ func computeBounds(sensAt func(int) ([]float64, error), analysis *Analysis, n in
 			return nil, err
 		}
 		for i, v := range ss {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("flex: non-finite sensitivity %g at k=0", v)
+			}
 			bounds[i] = smooth.Smoothed{S: v, ArgK: 0, Beta: smooth.Beta(p)}
 		}
 		return bounds, nil

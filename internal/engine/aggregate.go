@@ -10,54 +10,16 @@ import (
 	"flexdp/internal/sqlparser"
 )
 
-// executeAggregate is the grouped-aggregation select path: it handles
-// GROUP BY, aggregate functions in the select list and HAVING, and the
-// implicit single group for aggregates without GROUP BY. sel, when non-nil,
-// selects the input rows (from the vectorized WHERE); the batch-capable
-// parallel path consumes it directly, the spilled and serial paths
-// materialize it.
-func (ctx *execContext) executeAggregate(stmt *sqlparser.SelectStmt, rel *relation, sel []int) (*ResultSet, [][]Value, error) {
-	// Every materialized aggregation is a pipeline breaker: the full grouping
-	// state (or spill partitioning of it) stands between input and output.
+// executeAggregate is the serial grouped-aggregation loop over a
+// materialized relation: GROUP BY, aggregate functions in the select list and
+// HAVING, and the implicit single group for aggregates without GROUP BY. The
+// streaming sink (executeAggregateStream) routes here only the statements it
+// cannot evaluate per morsel — subquery-bearing or ill-formed ones — whose
+// compiled closures must run once, in row order.
+func (ctx *execContext) executeAggregate(stmt *sqlparser.SelectStmt, rel *relation) (*ResultSet, [][]Value, error) {
+	// The full grouping state stands between input and output: a pipeline
+	// breaker.
 	ctx.pstats.breaker(0)
-
-	// Resolve positional GROUP BY references (GROUP BY 1) to the
-	// corresponding select-list expressions.
-	if resolved, err := resolvePositionalGroupBy(stmt); err != nil {
-		return nil, nil, err
-	} else if resolved != nil {
-		clone := *stmt
-		clone.GroupBy = resolved
-		stmt = &clone
-	}
-
-	// The spilled path estimates its budget from rel.rows, so a pending
-	// selection must be materialized first for the estimate (and the spill
-	// partitioning loop) to see only the surviving rows. Costs one index
-	// copy, and only when a memory budget is configured.
-	if sel != nil && ctx.spill.Enabled() {
-		rel, sel = applySel(rel, sel), nil
-	}
-
-	// Out-of-core path: when the grouping state (group index plus per-group
-	// value runs) would exceed the memory budget, hash-partition the input
-	// by group key to disk and aggregate partition by partition
-	// (aggspill.go). Checked before the parallel path so the budget bounds
-	// the per-worker partial tables too.
-	if out, keys, ok, err := ctx.tryExecuteAggregateSpilled(stmt, rel); ok {
-		return out, keys, err
-	}
-
-	// Morsel-parallel / vectorized path: partial aggregation per morsel with
-	// a deterministic morsel-order merge (aggregate_parallel.go). Falls
-	// through to the serial path for subquery-bearing statements and, in
-	// scalar mode, single-morsel inputs.
-	if out, keys, ok, err := ctx.tryExecuteAggregateParallel(stmt, rel, sel); ok {
-		return out, keys, err
-	}
-
-	// Serial path: consumes materialized rows.
-	rel = applySel(rel, sel)
 
 	// Partition rows into groups keyed by the GROUP BY expressions.
 	type group struct {
@@ -212,9 +174,9 @@ func newExprCache() *exprCache {
 //
 // The environment has two backing modes. In serial mode rows holds the
 // group's full row list and aggregates reduce over it on demand. In
-// parallel mode par holds the group's merged partial-aggregation state
-// (ordered per-aggregate value runs, row count, first row) built by the
-// morsel workers, and slotOf maps each aggregate call in the statement to
+// streaming mode par holds the group's merged partial-aggregation state
+// (ordered per-aggregate value runs or folds, row count, first row) built by
+// the morsel workers, and slotOf maps each aggregate call in the statement to
 // its slot in that state; rows is nil.
 type groupEnv struct {
 	ctx     *execContext

@@ -108,28 +108,18 @@ func BenchmarkDistinct(b *testing.B) {
 	benchQuery(b, db, `SELECT DISTINCT driver_id, city_id FROM trips`)
 }
 
-// benchVector runs one query with the batch kernels off (scalar: the
-// row-at-a-time closures) and on (vector), at one worker so the
-// sub-benchmarks isolate batching itself from parallel speedup.
+// benchVector runs one query at one worker, so the sub-benchmark isolates
+// the batch kernels from parallel speedup.
 func benchVector(b *testing.B, db *DB, sql string) {
 	b.Helper()
-	defer db.SetVectorized(true)
 	defer db.SetParallelism(0)
 	db.SetParallelism(1)
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"scalar", false}, {"vector", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			db.SetVectorized(mode.on)
-			benchQuery(b, db, sql)
-		})
-	}
+	b.Run("vector", func(b *testing.B) { benchQuery(b, db, sql) })
 }
 
-// BenchmarkVectorFilter pits the vectorized WHERE (selection vectors, typed
-// comparison/logical kernels) against the row-at-a-time closures on the
-// compound predicate of BenchmarkWhereFilter.
+// BenchmarkVectorFilter measures the vectorized WHERE (selection vectors,
+// typed comparison/logical kernels) on the compound predicate of
+// BenchmarkWhereFilter.
 func BenchmarkVectorFilter(b *testing.B) {
 	db := benchDB(b, 100000)
 	benchVector(b, db,
@@ -137,9 +127,8 @@ func BenchmarkVectorFilter(b *testing.B) {
 		 WHERE status = 'completed' AND fare > 10.0 AND city_id < 15 AND fare * 2 < 150`)
 }
 
-// BenchmarkVectorProject pits the vectorized projection (arithmetic kernels
-// into output slabs) against the scalar path on an expression-heavy select
-// list.
+// BenchmarkVectorProject measures the vectorized projection (arithmetic
+// kernels into output slabs) on an expression-heavy select list.
 func BenchmarkVectorProject(b *testing.B) {
 	db := benchDB(b, 100000)
 	benchVector(b, db,

@@ -3,17 +3,17 @@ package engine
 import "flexdp/internal/spill"
 
 // ExecConfig is the complete set of execution knobs for one query: worker
-// count, morsel granularity, vectorization, the operator-state memory
-// budget, and where/how spill files are written. A DB holds one ExecConfig
-// as its defaults; every execution snapshots it once at entry (ExecuteContext,
+// count, morsel granularity, the operator-state memory budget, and where/how
+// spill files are written. A DB holds one ExecConfig as its defaults; every
+// execution snapshots it once at entry (ExecuteContext,
 // PreparedQuery.ExecContext) and runs against the immutable copy, so a knob
 // changed mid-query never tears an execution — it applies to the next one.
 //
 // The zero value means "all defaults": one worker per CPU, width-adaptive
-// morsels, vectorized kernels on, unbounded memory, os.TempDir() spills.
-// None of these knobs may change query results — the differential suites pin
-// every combination bit-identical, including noisy DP outputs at a fixed
-// seed — so an ExecConfig is purely a resource/debugging surface.
+// morsels, unbounded memory, os.TempDir() spills. None of these knobs may
+// change query results — the differential suites pin every combination
+// bit-identical, including noisy DP outputs at a fixed seed — so an
+// ExecConfig is purely a resource/debugging surface.
 type ExecConfig struct {
 	// Parallelism bounds the per-query worker count of the morsel-driven
 	// executor; <= 0 means one worker per CPU (GOMAXPROCS).
@@ -22,9 +22,6 @@ type ExecConfig struct {
 	// width-adaptive size (adaptiveMorselSize). Tests shrink it to exercise
 	// multi-morsel merges on small tables.
 	MorselSize int
-	// DisableVectorized forces every operator onto the row-at-a-time closure
-	// path. Zero value = vectorized batch kernels on.
-	DisableVectorized bool
 	// MemoryBudget bounds per-query operator state (hash-join build tables,
 	// ORDER BY buffers, grouped-aggregation state, DISTINCT and set-operation
 	// key sets) in bytes; operators exceeding it go out-of-core through the
@@ -36,12 +33,6 @@ type ExecConfig struct {
 	// SpillFS, when non-nil, replaces the real filesystem for spill files
 	// (fault-injection tests install a spill.FaultFS here).
 	SpillFS spill.FS
-	// MaterializeStages disables the streaming dataflow: every pipeline stage
-	// materializes its full output relation before the next one runs, as the
-	// pre-streaming executor did. Results are bit-identical either way; this
-	// exists for the streamed-vs-materialized differential suite and the
-	// BenchmarkStreamingPipeline A/B comparison.
-	MaterializeStages bool
 	// Profile, when non-nil, receives this execution's per-operator trace
 	// and spill attribution (see QueryProfile). nil — the default — keeps
 	// profiling entirely off the hot path: no traces are allocated and the
@@ -79,9 +70,6 @@ func (c ExecConfig) morselFor(width int) int {
 	}
 	return adaptiveMorselSize(width)
 }
-
-// vectorized reports whether the batch kernels are enabled.
-func (c ExecConfig) vectorized() bool { return !c.DisableVectorized }
 
 // newSpillManager creates the per-query spill manager for one execution
 // under this config (nil when no budget is configured — the nil manager

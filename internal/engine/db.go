@@ -215,23 +215,6 @@ func (db *DB) MorselSizeFor(width int) int {
 	return db.cfg.morselFor(width)
 }
 
-// SetVectorized toggles the vectorized batch-expression kernels (on by
-// default). Vectorization never changes results — the differential test
-// suite pins the two paths bit-identical — so this is an A/B and debugging
-// knob, safe to flip at any time. Thin wrapper over SetExecConfig.
-func (db *DB) SetVectorized(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.cfg.DisableVectorized = !on
-}
-
-// Vectorized reports whether the batch kernels are enabled.
-func (db *DB) Vectorized() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return !db.cfg.DisableVectorized
-}
-
 // Version returns a counter that increases on every mutation; consumers
 // (like FLEX's metrics store) use it to detect staleness, playing the role
 // of the update triggers the paper suggests for metric maintenance.

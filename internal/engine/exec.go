@@ -34,10 +34,8 @@ type execContext struct {
 	morsel  int
 	// pinned records whether morsel came from an explicit SetMorselSize;
 	// when false, width-aware operators size their morsels adaptively via
-	// spanSize. vector enables the batch-expression kernels (kernels.go) on
-	// the operators that support them; both are snapshotted at query start.
+	// spanSize. Snapshotted at query start like workers and morsel.
 	pinned bool
-	vector bool
 	// spill is the per-query out-of-core manager (nil when no memory budget
 	// is configured). It is shared by every child context — CTEs and
 	// subqueries charge the same budget — and retired by the DB entry point
@@ -111,7 +109,7 @@ func (db *DB) ExecuteContextConfig(goctx context.Context, stmt *sqlparser.Select
 	defer recoverExecPanic(&err)
 	ctx := &execContext{db: db, ctes: make(map[string]*relation), cfg: cfg, pstats: ps,
 		workers: cfg.workers(), morsel: cfg.morsel(),
-		pinned: cfg.morselPinned(), vector: cfg.vectorized(), spill: mgr, goctx: goctx,
+		pinned: cfg.morselPinned(), spill: mgr, goctx: goctx,
 		prof: prof}
 	return ctx.executeSelect(stmt)
 }
@@ -175,7 +173,7 @@ func (ctx *execContext) executeSelect(stmt *sqlparser.SelectStmt) (*ResultSet, e
 	// a child context so sibling subqueries cannot see our CTEs leak out.
 	child := &execContext{db: ctx.db, ctes: make(map[string]*relation), plans: ctx.plans,
 		cfg: ctx.cfg, pstats: ctx.pstats,
-		workers: ctx.workers, morsel: ctx.morsel, pinned: ctx.pinned, vector: ctx.vector,
+		workers: ctx.workers, morsel: ctx.morsel, pinned: ctx.pinned,
 		spill: ctx.spill, goctx: ctx.goctx, prof: ctx.prof}
 	for name, rel := range ctx.ctes {
 		child.ctes[name] = rel
@@ -233,22 +231,12 @@ func (ctx *execContext) executeSelect(stmt *sqlparser.SelectStmt) (*ResultSet, e
 	return out, nil
 }
 
-// executeCore runs a single SELECT body (no set ops, no ORDER BY/LIMIT) and
-// additionally returns per-output-row sort keys for the statement's ORDER BY
-// expressions evaluated in the projection environment. The streaming dataflow
-// (stream.go) is the default; ExecConfig.MaterializeStages selects the
-// materialize-between-operators executor, kept as the differential reference.
-func (ctx *execContext) executeCore(stmt *sqlparser.SelectStmt) (*ResultSet, [][]Value, error) {
-	if ctx.cfg.MaterializeStages {
-		return ctx.executeCoreMaterialized(stmt)
-	}
-	return ctx.executeCoreStreaming(stmt)
-}
-
-// executeCoreStreaming evaluates the SELECT body as one morsel pipeline:
-// FROM (with streaming join probes) → WHERE (selection vectors) → the
-// aggregation or projection sink. Only pipeline breakers materialize rows.
-func (ctx *execContext) executeCoreStreaming(stmt *sqlparser.SelectStmt) (rs *ResultSet, sortKeys [][]Value, err error) {
+// executeCore runs a single SELECT body (no set ops, no ORDER BY/LIMIT) as one
+// morsel pipeline — FROM (with streaming join probes) → WHERE (selection
+// vectors) → the aggregation or projection sink — and additionally returns
+// per-output-row sort keys for the statement's ORDER BY expressions evaluated
+// in the projection environment. Only pipeline breakers materialize rows.
+func (ctx *execContext) executeCore(stmt *sqlparser.SelectStmt) (rs *ResultSet, sortKeys [][]Value, err error) {
 	p, err := ctx.buildFromPipeline(stmt.From)
 	if err != nil {
 		return nil, nil, err
@@ -299,204 +287,6 @@ func (ctx *execContext) executeCoreStreaming(stmt *sqlparser.SelectStmt) (rs *Re
 	return out, sortKeys, nil
 }
 
-// executeCoreMaterialized is the pre-streaming executor: every stage fully
-// materializes its output relation before the next runs. Retained verbatim
-// behind ExecConfig.MaterializeStages as the reference for the
-// streamed-vs-materialized differential suite and benchmarks.
-func (ctx *execContext) executeCoreMaterialized(stmt *sqlparser.SelectStmt) (*ResultSet, [][]Value, error) {
-	rel, err := ctx.buildFrom(stmt.From)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// sel, when non-nil, is the selection vector the WHERE filter produced:
-	// indices into rel.rows in input order. The batch path hands it to the
-	// downstream operators instead of copying the kept rows; nil means "all
-	// rows". Operators that cannot consume a selection materialize it via
-	// applySel, which reproduces the copied-slice relation exactly.
-	var sel []int
-	if stmt.Where != nil {
-		if ctx.vector && exprPure(stmt.Where) {
-			pred := compileBatchExpr(rel, ctx, stmt.Where)
-			s, err := ctx.filterSel(rel, pred)
-			if err != nil {
-				return nil, nil, err
-			}
-			sel = s
-		} else {
-			pred, err := compileExpr(rel, ctx, stmt.Where)
-			if err != nil {
-				return nil, nil, err
-			}
-			filtered, err := ctx.filterRows(rel.rows, pred, exprPure(stmt.Where))
-			if err != nil {
-				return nil, nil, err
-			}
-			// cols are unchanged, so the column index built for the predicate
-			// compile carries over to the projection/aggregation passes.
-			rel = &relation{cols: rel.cols, rows: filtered, idx: rel.idx, sig: rel.sig}
-		}
-	}
-
-	aggregated := len(stmt.GroupBy) > 0 || stmt.Having != nil
-	if !aggregated {
-		for _, item := range stmt.Columns {
-			if item.Expr != nil && sqlparser.ContainsAggregate(item.Expr) {
-				aggregated = true
-				break
-			}
-		}
-	}
-
-	var out *ResultSet
-	var sortKeys [][]Value
-	if aggregated {
-		out, sortKeys, err = ctx.executeAggregate(stmt, rel, sel)
-	} else {
-		out, sortKeys, err = ctx.executeProjection(stmt, rel, sel)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if stmt.Distinct {
-		out, sortKeys, err = ctx.dedupeRows(out, sortKeys)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, sortKeys, nil
-}
-
-// filterRows applies a compiled predicate to every row, preserving input
-// order. With a pure predicate and more than one morsel of input, the scan
-// fans out across workers: each morsel filters into its own buffer and the
-// buffers concatenate in morsel order, so the kept-row order — and, because
-// workers stop a morsel at its first failing row and runSpans surfaces the
-// lowest failing morsel, the first error — match the serial loop exactly.
-func (ctx *execContext) filterRows(rows [][]Value, pred evalFn, pure bool) ([][]Value, error) {
-	spans := morselSpans(len(rows), ctx.morsel)
-	if !pure || ctx.workers <= 1 || len(spans) <= 1 {
-		filtered := make([][]Value, 0, len(rows))
-		for i, row := range rows {
-			if i%ctx.morsel == 0 {
-				if err := ctx.err(); err != nil {
-					return nil, err
-				}
-			}
-			v, err := pred(row)
-			if err != nil {
-				return nil, err
-			}
-			if v.Truthy() {
-				filtered = append(filtered, row)
-			}
-		}
-		return filtered, nil
-	}
-	kept := make([][][]Value, len(spans))
-	err := ctx.runSpans(spans, ctx.workers, func(_, m int, s span) error {
-		buf := make([][]Value, 0, s.hi-s.lo)
-		for _, row := range rows[s.lo:s.hi] {
-			v, err := pred(row)
-			if err != nil {
-				return err
-			}
-			if v.Truthy() {
-				buf = append(buf, row)
-			}
-		}
-		kept[m] = buf
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, buf := range kept {
-		total += len(buf)
-	}
-	filtered := make([][]Value, 0, total)
-	for _, buf := range kept {
-		filtered = append(filtered, buf...)
-	}
-	return filtered, nil
-}
-
-// filterSel is the vectorized WHERE filter: the compiled batch predicate
-// runs once per morsel and the truthy positions collect into a selection
-// vector of row indices instead of a copied row slice. Per-morsel selections
-// concatenate in morsel order and runSpans surfaces the lowest failing
-// morsel's error, so kept-row order and the surfaced error match filterRows
-// (and the serial row loop) exactly — at one worker the morsels simply run
-// inline in order.
-func (ctx *execContext) filterSel(rel *relation, pred batchExpr) ([]int, error) {
-	rows := rel.rows
-	spans := morselSpans(len(rows), ctx.spanSize(len(rel.cols)))
-	if len(spans) == 0 {
-		return []int{}, nil
-	}
-	ids := identitySel(len(rows))
-	workers := spanWorkers(len(spans), ctx.workers)
-	bcs := make([]*batchCtx, workers)
-	outs := make([]*vector, workers)
-	kept := make([][]int, len(spans))
-	err := ctx.runSpans(spans, workers, func(w, m int, s span) error {
-		if bcs[w] == nil {
-			bcs[w] = &batchCtx{rows: rows}
-			outs[w] = &vector{}
-		}
-		bc, out := bcs[w], outs[w]
-		msel := ids[s.lo:s.hi]
-		if _, err := pred(bc, msel, out); err != nil {
-			return err
-		}
-		buf := make([]int, 0, len(msel))
-		for i := range msel {
-			if out.isTrue(i) {
-				buf = append(buf, msel[i])
-			}
-		}
-		kept[m] = buf
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, buf := range kept {
-		total += len(buf)
-	}
-	sel := make([]int, 0, total)
-	for _, buf := range kept {
-		sel = append(sel, buf...)
-	}
-	return sel, nil
-}
-
-// buildFrom evaluates the FROM clause. An empty FROM yields one empty row so
-// that `SELECT 1` works.
-func (ctx *execContext) buildFrom(items []sqlparser.TableExpr) (*relation, error) {
-	if len(items) == 0 {
-		return &relation{rows: [][]Value{{}}}, nil
-	}
-	rel, err := ctx.buildTableExpr(items[0])
-	if err != nil {
-		return nil, err
-	}
-	for _, item := range items[1:] {
-		right, err := ctx.buildTableExpr(item)
-		if err != nil {
-			return nil, err
-		}
-		rel, err = ctx.crossJoin(rel, right)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
-}
-
 func (ctx *execContext) buildTableExpr(te sqlparser.TableExpr) (*relation, error) {
 	switch t := te.(type) {
 	case *sqlparser.TableName:
@@ -525,15 +315,13 @@ func (ctx *execContext) buildTableExpr(te sqlparser.TableExpr) (*relation, error
 		return resultToRelation(rs, t.Alias), nil
 
 	case *sqlparser.JoinExpr:
-		left, err := ctx.buildTableExpr(t.Left)
+		// A join nested where a materialized relation is needed (the right
+		// side of a join, a later FROM item) runs as its own pipeline.
+		p, err := ctx.buildTablePipeline(t)
 		if err != nil {
 			return nil, err
 		}
-		right, err := ctx.buildTableExpr(t.Right)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.join(t, left, right)
+		return ctx.materializeStream(p)
 	}
 	return nil, fmt.Errorf("engine: unsupported table expression %T", te)
 }
@@ -636,59 +424,18 @@ type joinProbe struct {
 	index  *buildIndex
 	right  [][]Value
 	resFns []evalFn
-	width  int  // combined output width
-	vector bool // batch the probe-key encoding per morsel
+	width  int // combined output width
 }
 
 // scan probes left rows [lo, hi) against the build index and returns the
 // combined rows that pass every residual, in left-row order. matchedLeft is
 // written only at indices in [lo, hi); matchedRight may be any scratch slice
-// of build-side length (workers pass private ones). Key encoding scratch is
-// local to the call, so concurrent scans over disjoint ranges are safe.
+// of build-side length (workers pass private ones). The probe-key encoding is
+// columnar: each key column is gathered into a typed vector once for the
+// whole range, and appendRowKeyVecs emits exactly the bytes AppendRowKey
+// would for the build side. Scratch is local to the call, so concurrent
+// scans over disjoint ranges are safe.
 func (p *joinProbe) scan(leftRows [][]Value, lo, hi int, matchedLeft, matchedRight []bool) ([][]Value, error) {
-	if p.vector {
-		return p.scanBatch(leftRows, lo, hi, matchedLeft, matchedRight)
-	}
-	keyBuf := make([]Value, len(p.keys))
-	leftCol := func(i int) int { return p.keys[i].leftIdx }
-	var keyScratch []byte
-	var out [][]Value
-	for li := lo; li < hi; li++ {
-		kb, null := encodeJoinKey(keyScratch[:0], leftRows[li], leftCol, len(p.keys), keyBuf)
-		keyScratch = kb
-		if null {
-			continue
-		}
-		lr := leftRows[li]
-	probeMatches:
-		for _, ri := range p.index.lookup(keyScratch) {
-			row := make([]Value, 0, p.width)
-			row = append(row, lr...)
-			row = append(row, p.right[ri]...)
-			for _, fn := range p.resFns {
-				v, err := fn(row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.Truthy() {
-					continue probeMatches
-				}
-			}
-			matchedLeft[li] = true
-			matchedRight[ri] = true
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-// scanBatch is scan with the probe-key encoding done columnarly: each key
-// column is gathered into a typed vector once for the whole range, and the
-// per-row encoding reads the slabs instead of re-dispatching on Value kinds.
-// appendRowKeyVecs emits exactly the bytes AppendRowKey would, so the lookup
-// keys — and therefore the matches, their order, and every residual
-// evaluation — are identical to the row-at-a-time scan.
-func (p *joinProbe) scanBatch(leftRows [][]Value, lo, hi int, matchedLeft, matchedRight []bool) ([][]Value, error) {
 	n := hi - lo
 	sel := make([]int, n)
 	for i := range sel {
@@ -733,40 +480,19 @@ rowLoop:
 	return out, nil
 }
 
-func (ctx *execContext) join(t *sqlparser.JoinExpr, left, right *relation) (*relation, error) {
+// nestedLoopJoin joins two materialized relations on the full predicate
+// (the ON conjuncts, for a condition with no equality keys), then pads
+// unmatched rows for outer joins. It is serial: the quadratic loop is
+// dominated by predicate evaluation over every pair, and the predicate may
+// embed subquery state that is not worker-safe.
+func (ctx *execContext) nestedLoopJoin(kind sqlparser.JoinKind, left, right *relation, residual []sqlparser.Expr) (*relation, error) {
 	cols := append(append([]relCol{}, left.cols...), right.cols...)
-
-	if t.Kind == sqlparser.JoinCross {
-		return ctx.crossJoin(left, right)
-	}
-
-	var keys []equiKey
-	var residual []sqlparser.Expr
-	switch {
-	case len(t.Using) > 0:
-		for _, name := range t.Using {
-			li, err := left.findCol("", name)
-			if err != nil {
-				return nil, fmt.Errorf("engine: USING column %q: %w", name, err)
-			}
-			ri, err := right.findCol("", name)
-			if err != nil {
-				return nil, fmt.Errorf("engine: USING column %q: %w", name, err)
-			}
-			keys = append(keys, equiKey{leftIdx: li, rightIdx: ri})
-		}
-	case t.On != nil:
-		keys, residual = splitJoinCondition(t.On, left, right)
-	default:
-		return nil, fmt.Errorf("engine: join without condition")
-	}
-
 	combined := &relation{cols: cols}
 	matchedLeft := make([]bool, len(left.rows))
 	matchedRight := make([]bool, len(right.rows))
 
-	// Residual predicates are compiled once against the combined column
-	// layout instead of being re-walked for every candidate row pair.
+	// Predicates are compiled once against the combined column layout
+	// instead of being re-walked for every candidate row pair.
 	resFns := make([]evalFn, len(residual))
 	for i, res := range residual {
 		fn, err := compileExpr(combined, ctx, res)
@@ -776,107 +502,31 @@ func (ctx *execContext) join(t *sqlparser.JoinExpr, left, right *relation) (*rel
 		resFns[i] = fn
 	}
 
-	switch {
-	case len(keys) > 0 && ctx.spill.Enabled() && ctx.spill.ShouldSpill(estRowsBytes(right.rows)):
-		// Out-of-core path: the build side exceeds the memory budget, so the
-		// join hash-partitions both inputs to disk and joins partition by
-		// partition (Grace join), producing the same rows in the same order
-		// as the in-memory build/probe below.
-		ctx.pstats.breaker(0) // partitioned build state lives on disk
-		rows, err := ctx.graceJoin(keys, resFns, left.rows, right.rows,
-			len(cols), matchedLeft, matchedRight)
-		if err != nil {
-			return nil, err
-		}
-		combined.rows = rows
-
-	case len(keys) > 0:
-		// Hash join: build on the right side (morsel-parallel when workers
-		// allow — see joinbuild.go), then probe with the left.
-		ctx.pstats.breaker(estRowsBytes(right.rows))
-		index, err := ctx.buildJoinIndex(keys, right.rows)
-		if err != nil {
-			return nil, err
-		}
-		probe := joinProbe{keys: keys, index: index,
-			right: right.rows, resFns: resFns, width: len(cols), vector: ctx.vector}
-		spans := morselSpans(len(left.rows), ctx.morsel)
-		if ctx.workers > 1 && len(spans) > 1 && exprsPure(residual) {
-			// Morsel-parallel probe. Each left row belongs to exactly one
-			// morsel, so matchedLeft writes never collide; matchedRight can be
-			// hit by any worker, so each worker marks a private slice that is
-			// OR-merged afterwards. Per-morsel match buffers concatenate in
-			// morsel order, reproducing the serial left-to-right emit order.
-			workers := spanWorkers(len(spans), ctx.workers)
-			bufs := make([][][]Value, len(spans))
-			workerRight := make([][]bool, workers)
-			err := ctx.runSpans(spans, workers, func(w, m int, s span) error {
-				if workerRight[w] == nil {
-					workerRight[w] = make([]bool, len(right.rows))
-				}
-				buf, err := probe.scan(left.rows, s.lo, s.hi, matchedLeft, workerRight[w])
-				if err != nil {
-					return err
-				}
-				bufs[m] = buf
+	emit := func(li, ri int) error {
+		row := make([]Value, 0, len(cols))
+		row = append(row, left.rows[li]...)
+		row = append(row, right.rows[ri]...)
+		for _, fn := range resFns {
+			v, err := fn(row)
+			if err != nil {
+				return err
+			}
+			if !v.Truthy() {
 				return nil
-			})
-			if err != nil {
-				return nil, err
 			}
-			total := 0
-			for _, buf := range bufs {
-				total += len(buf)
-			}
-			combined.rows = make([][]Value, 0, total)
-			for _, buf := range bufs {
-				combined.rows = append(combined.rows, buf...)
-			}
-			for _, mr := range workerRight {
-				for ri, hit := range mr {
-					if hit {
-						matchedRight[ri] = true
-					}
-				}
-			}
-		} else {
-			rows, err := probe.scan(left.rows, 0, len(left.rows), matchedLeft, matchedRight)
-			if err != nil {
-				return nil, err
-			}
-			combined.rows = rows
 		}
-
-	default:
-		// Nested-loop join on the full predicate (serial: the quadratic
-		// fallback is dominated by predicate evaluation over every pair, and
-		// residuals here may embed subquery state that is not worker-safe).
-		emit := func(li, ri int) error {
-			row := make([]Value, 0, len(cols))
-			row = append(row, left.rows[li]...)
-			row = append(row, right.rows[ri]...)
-			for _, fn := range resFns {
-				v, err := fn(row)
-				if err != nil {
-					return err
-				}
-				if !v.Truthy() {
-					return nil
-				}
-			}
-			matchedLeft[li] = true
-			matchedRight[ri] = true
-			combined.rows = append(combined.rows, row)
-			return nil
+		matchedLeft[li] = true
+		matchedRight[ri] = true
+		combined.rows = append(combined.rows, row)
+		return nil
+	}
+	for li := range left.rows {
+		if err := ctx.err(); err != nil {
+			return nil, err
 		}
-		for li := range left.rows {
-			if err := ctx.err(); err != nil {
+		for ri := range right.rows {
+			if err := emit(li, ri); err != nil {
 				return nil, err
-			}
-			for ri := range right.rows {
-				if err := emit(li, ri); err != nil {
-					return nil, err
-				}
 			}
 		}
 	}
@@ -913,7 +563,7 @@ func (ctx *execContext) join(t *sqlparser.JoinExpr, left, right *relation) (*rel
 		}
 		return nil
 	}
-	switch t.Kind {
+	switch kind {
 	case sqlparser.JoinLeft:
 		if err := padSide(left, matchedLeft, true); err != nil {
 			return nil, err
@@ -947,133 +597,9 @@ func outputName(item sqlparser.SelectItem, pos int) string {
 	return fmt.Sprintf("col%d", pos)
 }
 
-// executeProjection is the non-aggregated select path. Select-list
-// expressions and ORDER BY keys are compiled once against the input
-// relation before the row loop. sel, when non-nil, selects the input rows
-// (from the vectorized WHERE); the batch path consumes it directly, the
-// scalar path materializes it.
-func (ctx *execContext) executeProjection(stmt *sqlparser.SelectStmt, rel *relation, sel []int) (*ResultSet, [][]Value, error) {
-	if ctx.vector && projectionPure(stmt) && projectionBatchWorthwhile(stmt) {
-		return ctx.executeProjectionBatch(stmt, rel, sel)
-	}
-	rel = applySel(rel, sel)
-	names, pspecs, err := buildProjSpecs(stmt, rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	type colSpec struct {
-		eval evalFn
-		star bool
-		from int // starting col index for stars
-		upto int
-	}
-	specs := make([]colSpec, len(pspecs))
-	for i, ps := range pspecs {
-		if ps.star {
-			specs[i] = colSpec{star: true, from: ps.from, upto: ps.upto}
-			continue
-		}
-		fn, err := compileExpr(rel, ctx, ps.expr)
-		if err != nil {
-			return nil, nil, err
-		}
-		specs[i] = colSpec{eval: fn}
-	}
-
-	out := &ResultSet{Columns: names}
-	var sortKeys [][]Value
-	needSort := len(stmt.OrderBy) > 0
-	var keyFns []sortKeyFn
-	if needSort {
-		fns, err := compileSortKeys(rel, ctx, stmt.OrderBy, names)
-		if err != nil {
-			return nil, nil, err
-		}
-		keyFns = fns
-	}
-	// project materializes output rows (and sort keys) for one input range.
-	project := func(lo, hi int) ([][]Value, [][]Value, error) {
-		rows := make([][]Value, 0, hi-lo)
-		var keys [][]Value
-		if needSort {
-			keys = make([][]Value, 0, hi-lo)
-		}
-		for i, row := range rel.rows[lo:hi] {
-			if i%ctx.morsel == 0 {
-				if err := ctx.err(); err != nil {
-					return nil, nil, err
-				}
-			}
-			outRow := make([]Value, 0, len(names))
-			for _, spec := range specs {
-				if spec.star {
-					outRow = append(outRow, row[spec.from:spec.upto]...)
-					continue
-				}
-				v, err := spec.eval(row)
-				if err != nil {
-					return nil, nil, err
-				}
-				outRow = append(outRow, v)
-			}
-			rows = append(rows, outRow)
-			if needSort {
-				key := make([]Value, len(keyFns))
-				for i, fn := range keyFns {
-					v, err := fn(row, outRow)
-					if err != nil {
-						return nil, nil, err
-					}
-					key[i] = v
-				}
-				keys = append(keys, key)
-			}
-		}
-		return rows, keys, nil
-	}
-
-	spans := morselSpans(len(rel.rows), ctx.morsel)
-	if ctx.workers > 1 && len(spans) > 1 && projectionPure(stmt) {
-		// Morsel-parallel projection: per-morsel output buffers concatenate
-		// in morsel order, so row order and sort keys match the serial scan.
-		rowBufs := make([][][]Value, len(spans))
-		keyBufs := make([][][]Value, len(spans))
-		err := ctx.runSpans(spans, ctx.workers, func(_, m int, s span) error {
-			rows, keys, err := project(s.lo, s.hi)
-			if err != nil {
-				return err
-			}
-			rowBufs[m], keyBufs[m] = rows, keys
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		total := 0
-		for _, buf := range rowBufs {
-			total += len(buf)
-		}
-		out.Rows = make([][]Value, 0, total)
-		for m := range rowBufs {
-			out.Rows = append(out.Rows, rowBufs[m]...)
-			if needSort {
-				sortKeys = append(sortKeys, keyBufs[m]...)
-			}
-		}
-		return out, sortKeys, nil
-	}
-
-	rows, keys, err := project(0, len(rel.rows))
-	if err != nil {
-		return nil, nil, err
-	}
-	out.Rows = rows
-	return out, keys, nil
-}
-
 // projSpec is one select item resolved against the input relation: either a
 // star copying the column range [from, upto) or an expression to evaluate.
-// Shared by the scalar and batch projection paths so output names and star
+// Shared by the closure and batch projection sinks so output names and star
 // expansion cannot diverge between them.
 type projSpec struct {
 	expr sqlparser.Expr
@@ -1155,158 +681,6 @@ func compileBatchSortKeys(rel *relation, ctx *execContext, orderBy []sqlparser.O
 		keys[i] = batchSortKey{eval: compileBatchExpr(rel, ctx, item.Expr)}
 	}
 	return keys
-}
-
-// executeProjectionBatch is the vectorized projection: every select-list
-// expression and computed ORDER BY key evaluates as a batch kernel over each
-// morsel's selection, and output rows materialize from the result vectors
-// into one slab per morsel. Per-morsel outputs concatenate in morsel order.
-//
-// Error determinism: within one morsel, each expression evaluates over the
-// prefix the previous expressions completed (the batchExpr contract), so the
-// surviving (row, expression) error is the first one the scalar row loop —
-// which evaluates select items then sort keys left to right for each row —
-// would hit; across morsels, runSpans keeps the lowest failing morsel.
-// Positional ORDER BY references out of range fail at the first row of the
-// current prefix, matching the row path's error-on-first-evaluated-row.
-func (ctx *execContext) executeProjectionBatch(stmt *sqlparser.SelectStmt, rel *relation, sel []int) (*ResultSet, [][]Value, error) {
-	names, specs, err := buildProjSpecs(stmt, rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Map each expression spec to its result-vector slot.
-	vecSlot := make([]int, len(specs))
-	nEval := 0
-	for i, ps := range specs {
-		vecSlot[i] = nEval
-		if !ps.star {
-			nEval++
-		}
-	}
-	evals := make([]batchExpr, 0, nEval)
-	for _, ps := range specs {
-		if !ps.star {
-			evals = append(evals, compileBatchExpr(rel, ctx, ps.expr))
-		}
-	}
-	needSort := len(stmt.OrderBy) > 0
-	var keySpecs []batchSortKey
-	if needSort {
-		keySpecs = compileBatchSortKeys(rel, ctx, stmt.OrderBy, names)
-	}
-
-	ids := sel
-	if ids == nil {
-		ids = identitySel(len(rel.rows))
-	}
-	out := &ResultSet{Columns: names}
-	spans := morselSpans(len(ids), ctx.spanSize(len(rel.cols)))
-	if len(spans) == 0 {
-		out.Rows = [][]Value{}
-		return out, nil, nil
-	}
-	workers := spanWorkers(len(spans), ctx.workers)
-	type projWorker struct {
-		bc      *batchCtx
-		vecs    []*vector // select-list result vectors
-		keyVecs []*vector // computed ORDER BY key vectors
-	}
-	pws := make([]*projWorker, workers)
-	rowBufs := make([][][]Value, len(spans))
-	keyBufs := make([][][]Value, len(spans))
-	width := len(names)
-	err = ctx.runSpans(spans, workers, func(w, m int, s span) error {
-		pw := pws[w]
-		if pw == nil {
-			pw = &projWorker{bc: &batchCtx{rows: rel.rows}}
-			pw.vecs = make([]*vector, nEval)
-			for i := range pw.vecs {
-				pw.vecs[i] = &vector{}
-			}
-			pw.keyVecs = make([]*vector, len(keySpecs))
-			for i := range pw.keyVecs {
-				pw.keyVecs[i] = &vector{}
-			}
-			pws[w] = pw
-		}
-		msel := ids[s.lo:s.hi]
-
-		// Chained prefix evaluation: each expression sees only the rows every
-		// earlier expression completed, so nOK/evalErr end up at the
-		// row-major-first failure.
-		nOK := len(msel)
-		var evalErr error
-		for vi, fn := range evals {
-			n, err := fn(pw.bc, msel[:nOK], pw.vecs[vi])
-			if err != nil {
-				nOK, evalErr = n, err
-			}
-		}
-		for ki, ks := range keySpecs {
-			if ks.eval != nil {
-				n, err := ks.eval(pw.bc, msel[:nOK], pw.keyVecs[ki])
-				if err != nil {
-					nOK, evalErr = n, err
-				}
-				continue
-			}
-			if ks.check && (ks.pos < 0 || ks.pos >= width) && nOK > 0 {
-				nOK, evalErr = 0, fmt.Errorf("engine: ORDER BY position %d out of range", ks.want)
-			}
-		}
-
-		// Materialize output rows from the result vectors, one slab per morsel.
-		slab := make([]Value, 0, nOK*width)
-		rows := make([][]Value, 0, nOK)
-		for i := 0; i < nOK; i++ {
-			off := len(slab)
-			for si, ps := range specs {
-				if ps.star {
-					slab = append(slab, rel.rows[msel[i]][ps.from:ps.upto]...)
-					continue
-				}
-				slab = append(slab, pw.vecs[vecSlot[si]].value(i))
-			}
-			rows = append(rows, slab[off:len(slab):len(slab)])
-		}
-		rowBufs[m] = rows
-		if needSort {
-			keys := make([][]Value, nOK)
-			keySlab := make([]Value, nOK*len(keySpecs))
-			for i := 0; i < nOK; i++ {
-				key := keySlab[i*len(keySpecs) : (i+1)*len(keySpecs) : (i+1)*len(keySpecs)]
-				for ki, ks := range keySpecs {
-					if ks.eval != nil {
-						key[ki] = pw.keyVecs[ki].value(i)
-					} else {
-						key[ki] = rows[i][ks.pos]
-					}
-				}
-				keys[i] = key
-			}
-			keyBufs[m] = keys
-		}
-		return evalErr
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	total := 0
-	for _, buf := range rowBufs {
-		total += len(buf)
-	}
-	out.Rows = make([][]Value, 0, total)
-	var sortKeys [][]Value
-	if needSort {
-		sortKeys = make([][]Value, 0, total)
-	}
-	for m := range rowBufs {
-		out.Rows = append(out.Rows, rowBufs[m]...)
-		if needSort {
-			sortKeys = append(sortKeys, keyBufs[m]...)
-		}
-	}
-	return out, sortKeys, nil
 }
 
 // projectionPure reports whether a non-aggregated SELECT body's per-row
@@ -1400,10 +774,10 @@ func compileSortKeys(rel *relation, ctx *execContext, orderBy []sqlparser.OrderI
 	return fns, nil
 }
 
-// evalSortKey computes ORDER BY key values for one output row. Each ORDER BY
-// expression resolves first against output aliases/positions, then against
-// the row environment.
-func evalSortKey(env *rowEnv, orderBy []sqlparser.OrderItem, out *ResultSet, outRow []Value) ([]Value, error) {
+// evalSortKey computes ORDER BY key values for one output row from output
+// aliases and positions alone (the post-set-operation case); any other
+// expression is an error there.
+func evalSortKey(orderBy []sqlparser.OrderItem, out *ResultSet, outRow []Value) ([]Value, error) {
 	key := make([]Value, len(orderBy))
 	for i, item := range orderBy {
 		// Positional reference: ORDER BY 2.
@@ -1429,15 +803,8 @@ func evalSortKey(env *rowEnv, orderBy []sqlparser.OrderItem, out *ResultSet, out
 				continue
 			}
 		}
-		if env == nil {
-			return nil, fmt.Errorf("engine: ORDER BY expression %s not resolvable after set operation",
-				sqlparser.PrintExpr(item.Expr))
-		}
-		v, err := evalExpr(env, item.Expr)
-		if err != nil {
-			return nil, err
-		}
-		key[i] = v
+		return nil, fmt.Errorf("engine: ORDER BY expression %s not resolvable after set operation",
+			sqlparser.PrintExpr(item.Expr))
 	}
 	return key, nil
 }
@@ -1453,7 +820,7 @@ func sortResult(ctx *execContext, out *ResultSet, orderBy []sqlparser.OrderItem,
 					return err
 				}
 			}
-			key, err := evalSortKey(nil, orderBy, out, row)
+			key, err := evalSortKey(orderBy, out, row)
 			if err != nil {
 				return err
 			}
@@ -1509,8 +876,11 @@ func sortResult(ctx *execContext, out *ResultSet, orderBy []sqlparser.OrderItem,
 
 func applyLimitOffset(out *ResultSet, stmt *sqlparser.SelectStmt, ctx *execContext) error {
 	evalInt := func(e sqlparser.Expr) (int, error) {
-		env := &rowEnv{rel: &relation{}, row: nil, ctx: ctx}
-		v, err := evalExpr(env, e)
+		fn, err := compileExpr(&relation{}, ctx, e)
+		if err != nil {
+			return 0, err
+		}
+		v, err := fn(nil)
 		if err != nil {
 			return 0, err
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"flexdp/internal/spill"
 )
@@ -81,60 +80,16 @@ func (st *graceState) noteResidualErr(li, ri int, err error) {
 func (st *graceState) leftCol(i int) int  { return st.keys[i].leftIdx }
 func (st *graceState) rightCol(i int) int { return st.keys[i].rightIdx }
 
-// graceJoin runs the partitioned join and returns combined rows in the
-// serial probe order. matchedLeft/matchedRight are set exactly as the
-// in-memory join would.
-func (ctx *execContext) graceJoin(keys []equiKey, resFns []evalFn, leftRows, rightRows [][]Value,
-	width int, matchedLeft, matchedRight []bool) ([][]Value, error) {
-	st := &graceState{keys: keys, resFns: resFns, width: width,
-		matchedLeft: matchedLeft, matchedRight: matchedRight}
-	// The position-tag wrap loops scan both full inputs, so they poll at
-	// morsel boundaries like every other unbounded row loop.
-	build := make([]idxRow, len(rightRows))
-	for i, r := range rightRows {
-		if i%ctx.morsel == 0 {
-			if err := ctx.err(); err != nil {
-				return nil, err
-			}
-		}
-		build[i] = idxRow{idx: i, row: r}
-	}
-	probe := make([]idxRow, len(leftRows))
-	for i, r := range leftRows {
-		if i%ctx.morsel == 0 {
-			if err := ctx.err(); err != nil {
-				return nil, err
-			}
-		}
-		probe[i] = idxRow{idx: i, row: r}
-	}
-	if err := ctx.graceNode(0, build, probe, -1, st); err != nil {
-		return nil, err
-	}
-	if st.resErr != nil {
-		return nil, st.resErr
-	}
-	// Each left row's matches live in exactly one partition, already in
-	// ascending build order, so a stable sort on the left index alone
-	// restores the serial emit order.
-	sort.SliceStable(st.out, func(a, b int) bool { return st.out[a].li < st.out[b].li })
-	rows := make([][]Value, len(st.out))
-	for i := range st.out {
-		rows[i] = st.out[i].row
-	}
-	return rows, nil
-}
-
-// graceNode joins one partition: either in memory (fits budget, max depth,
-// or irreducible skew) or by re-partitioning to disk. parentBuildLen < 0
-// marks the root.
+// graceNode joins one partition at level >= 1 (graceJoinOp partitions
+// level 0): either in memory (fits budget, max depth, or irreducible skew)
+// or by re-partitioning to disk.
 func (ctx *execContext) graceNode(level int, build, probe []idxRow, parentBuildLen int, st *graceState) error {
 	if err := ctx.err(); err != nil {
 		return err
 	}
 	est := estIdxRowsBytes(build)
 	over := ctx.spill.ShouldSpill(est)
-	if !over || level >= graceMaxDepth || (parentBuildLen >= 0 && len(build) >= parentBuildLen) {
+	if !over || level >= graceMaxDepth || len(build) >= parentBuildLen {
 		if over {
 			ctx.spill.NoteOverBudgetBuild()
 		}
@@ -142,11 +97,7 @@ func (ctx *execContext) graceNode(level int, build, probe []idxRow, parentBuildL
 	}
 
 	fanout := graceFanout(est, ctx.spill.Budget())
-	if level == 0 {
-		ctx.spill.NoteJoinSpill(fanout)
-	} else {
-		ctx.spill.NoteJoinRecursion(fanout)
-	}
+	ctx.spill.NoteJoinRecursion(fanout)
 	buildRuns, err := ctx.gracePartitionSide(build, st.rightCol, len(st.keys), level, fanout)
 	if err != nil {
 		return err

@@ -59,7 +59,8 @@ func encodeJoinKey(scratch []byte, row []Value, idxs func(int) int, n int, keyBu
 
 // buildJoinIndex builds the hash index over the build (right) side. With
 // multiple workers and morsels the build fans out in two phases; otherwise
-// it is the plain serial loop. The error return carries cancellation (the
+// it is one serial columnar pass. Callers always have at least one key. The
+// error return carries cancellation (the
 // build can dominate a join's cost, so it must be interruptible) and
 // recovered worker panics.
 func (ctx *execContext) buildJoinIndex(keys []equiKey, rows [][]Value) (*buildIndex, error) {
@@ -67,56 +68,38 @@ func (ctx *execContext) buildJoinIndex(keys []equiKey, rows [][]Value) (*buildIn
 	workers := spanWorkers(len(spans), ctx.workers)
 	rightIdx := func(i int) int { return keys[i].rightIdx }
 	if workers <= 1 || len(spans) <= 1 {
+		// Columnar build: gather the key columns into typed vectors one
+		// morsel at a time and encode from the slabs. appendRowKeyVecs
+		// matches AppendRowKey byte-for-byte, so the index keys are the ones
+		// encodeJoinKey produces for the parallel build and the probe side.
 		index := make(map[string][]int, len(rows))
-		if ctx.vector && len(keys) > 0 {
-			// Columnar build: gather the key columns into typed vectors one
-			// morsel at a time and encode from the slabs. appendRowKeyVecs
-			// matches AppendRowKey byte-for-byte, so the index is identical
-			// to the row-at-a-time build below.
-			kvecs := make([]*vector, len(keys))
-			for k := range kvecs {
-				kvecs[k] = &vector{}
-			}
-			var scratch []byte
-			var sel []int
-			for _, s := range spans {
-				if err := ctx.err(); err != nil {
-					return nil, err
-				}
-				sel = sel[:0]
-				for ri := s.lo; ri < s.hi; ri++ {
-					sel = append(sel, ri)
-				}
-				for k := range keys {
-					loadColumn(rows, sel, keys[k].rightIdx, kvecs[k])
-				}
-			rowLoop:
-				for i, ri := range sel {
-					for _, kv := range kvecs {
-						if kv.null[i] {
-							continue rowLoop
-						}
-					}
-					scratch = appendRowKeyVecs(scratch[:0], kvecs, i)
-					index[string(scratch)] = append(index[string(scratch)], ri)
-				}
-			}
-			return &buildIndex{shards: []map[string][]int{index}}, nil
+		kvecs := make([]*vector, len(keys))
+		for k := range kvecs {
+			kvecs[k] = &vector{}
 		}
-		keyBuf := make([]Value, len(keys))
 		var scratch []byte
-		for ri, rr := range rows {
-			if ri%ctx.morsel == 0 {
-				if err := ctx.err(); err != nil {
-					return nil, err
+		var sel []int
+		for _, s := range spans {
+			if err := ctx.err(); err != nil {
+				return nil, err
+			}
+			sel = sel[:0]
+			for ri := s.lo; ri < s.hi; ri++ {
+				sel = append(sel, ri)
+			}
+			for k := range keys {
+				loadColumn(rows, sel, keys[k].rightIdx, kvecs[k])
+			}
+		rowLoop:
+			for i, ri := range sel {
+				for _, kv := range kvecs {
+					if kv.null[i] {
+						continue rowLoop
+					}
 				}
+				scratch = appendRowKeyVecs(scratch[:0], kvecs, i)
+				index[string(scratch)] = append(index[string(scratch)], ri)
 			}
-			kb, null := encodeJoinKey(scratch[:0], rr, rightIdx, len(keys), keyBuf)
-			scratch = kb
-			if null {
-				continue
-			}
-			index[string(kb)] = append(index[string(kb)], ri)
 		}
 		return &buildIndex{shards: []map[string][]int{index}}, nil
 	}

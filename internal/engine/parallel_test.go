@@ -50,6 +50,13 @@ var parallelQueries = []string{
 	`SELECT k, COUNT(*) FROM t GROUP BY k HAVING SUM(v) > 100 ORDER BY k`,
 	`SELECT s, COUNT(DISTINCT k) FROM t GROUP BY s HAVING COUNT(*) > 3 ORDER BY s`,
 	`WITH big AS (SELECT k, v FROM t WHERE v > 40) SELECT k, COUNT(*) FROM big GROUP BY k`,
+	// Joins nested where a materialized relation is needed: a join as a
+	// later FROM item, and a parenthesized join as another join's build side.
+	`WITH s AS (SELECT k, w FROM u WHERE w < 12)
+		SELECT s.k, COUNT(*), SUM(t.v) FROM s, t LEFT JOIN s AS s2 ON t.k = s2.k
+		GROUP BY s.k ORDER BY s.k`,
+	`SELECT COUNT(*), SUM(u2.w), COUNT(u.name)
+		FROM t FULL JOIN (u JOIN u AS u2 ON u.k = u2.k AND u.w < u2.w) ON t.k = u.k`,
 	// Subquery-bearing statements: must fall back to serial and still agree.
 	`SELECT COUNT(*) FROM t WHERE k IN (SELECT k FROM u WHERE w > 30)`,
 	`SELECT COUNT(*) FROM t WHERE v > (SELECT MIN(w) FROM u)`,

@@ -70,11 +70,11 @@ func (p *planCache) putBatch(e sqlparser.Expr, sig string, fn batchExpr) {
 	p.mu.Unlock()
 }
 
-// size reports the number of cached closures (for tests).
+// size reports the number of cached closures and kernels (for tests).
 func (p *planCache) size() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return len(p.m)
+	return len(p.m) + len(p.mb)
 }
 
 // PreparedQuery is a parsed SELECT statement bound to a database, reusable
@@ -168,7 +168,7 @@ func (p *PreparedQuery) ExecContextConfig(goctx context.Context, cfg ExecConfig)
 	ctx := &execContext{db: p.db, ctes: make(map[string]*relation), plans: plans,
 		cfg: cfg, pstats: ps,
 		workers: cfg.workers(), morsel: cfg.morsel(),
-		pinned: cfg.morselPinned(), vector: cfg.vectorized(), spill: mgr, goctx: goctx,
+		pinned: cfg.morselPinned(), spill: mgr, goctx: goctx,
 		prof: prof}
 	return ctx.executeSelect(p.stmt)
 }

@@ -42,8 +42,6 @@ type QueryProfile struct {
 	Workers int `json:"workers"`
 	// MorselSize is the pinned morsel size, 0 when adaptive sizing is on.
 	MorselSize int         `json:"morsel_size"`
-	Vectorized bool        `json:"vectorized"`
-	Streaming  bool        `json:"streaming"`
 	WallNanos  int64       `json:"wall_nanos"`
 	Operators  []OpProfile `json:"operators"`
 	// TruncatedOps counts operator traces dropped past the cap (correlated
@@ -60,8 +58,8 @@ func (p *QueryProfile) Render() []string {
 	if p.MorselSize > 0 {
 		morsel = fmt.Sprintf("%d", p.MorselSize)
 	}
-	lines := []string{fmt.Sprintf("workers=%d morsel_size=%s vectorized=%t streaming=%t wall_ms=%.3f",
-		p.Workers, morsel, p.Vectorized, p.Streaming, float64(p.WallNanos)/1e6)}
+	lines := []string{fmt.Sprintf("workers=%d morsel_size=%s wall_ms=%.3f",
+		p.Workers, morsel, float64(p.WallNanos)/1e6)}
 	for _, op := range p.Operators {
 		name := op.Name
 		if op.Detail != "" {
@@ -248,8 +246,6 @@ func (pr *queryProfiler) fill(dst *QueryProfile, cfg ExecConfig, mgr *spill.Mana
 	} else {
 		dst.MorselSize = 0
 	}
-	dst.Vectorized = cfg.vectorized()
-	dst.Streaming = !cfg.MaterializeStages
 	//flexlint:ignore nondet profiling wall-clock; trace timings never influence execution results
 	dst.WallNanos = int64(time.Since(pr.start))
 	dst.TruncatedOps = pr.truncated

@@ -84,7 +84,7 @@ func TestQueryProfileMatchesSpillDelta(t *testing.T) {
 	if prof.Spill.SpilledBytes == 0 || prof.Spill.JoinSpills == 0 || prof.Spill.AggSpills == 0 {
 		t.Errorf("expected a spilled join+aggregation, got %+v", prof.Spill)
 	}
-	if !prof.Streaming || prof.WallNanos <= 0 {
+	if prof.WallNanos <= 0 {
 		t.Errorf("header fields wrong: %+v", prof)
 	}
 
@@ -143,7 +143,7 @@ func TestExplainAnalyzeRendersMeasuredProfile(t *testing.T) {
 	}
 	out := text.String()
 	for _, want := range []string{
-		"streaming=true",
+		"morsel_size=",
 		fmt.Sprintf("scan(fact): rows_in=0 rows_out=%d", factRows),
 		"grace_join(build_rows=200):",
 		fmt.Sprintf("rows_in=%d rows_out=%d", factRows, factRows),

@@ -24,10 +24,9 @@ import (
 // Determinism contract (DESIGN.md, "Streaming dataflow"): per-morsel outputs
 // are consumed strictly in morsel order by a single ordered consumer, the
 // surfaced error is the lowest-numbered failing morsel's (matching runSpans),
-// and every operator's per-morsel work is element-wise identical to its
-// materialized counterpart — so results, including noisy DP outputs at a
-// fixed seed, are bit-identical at any worker count, morsel size, budget, and
-// vectorized toggle.
+// and every operator's per-morsel work is element-wise — so results, including
+// noisy DP outputs at a fixed seed, are bit-identical at any worker count,
+// morsel size, and memory budget.
 
 // morsel is one chunk of rows flowing through a pipeline. sel, when non-nil,
 // is a selection vector of indices into rows (morsel-relative, ascending);
@@ -168,6 +167,16 @@ func (ctx *execContext) scanPipeline(rel *relation) *pipeline {
 func (p *pipeline) push(op streamOp, out *relation) {
 	p.ops = append(p.ops, op)
 	p.rel = out
+}
+
+// outCap is the capacity hint for a projection sink's output rows: a bare
+// scan emits exactly one row per source row, so its result is presized; past
+// any operator the output size is unknown.
+func (p *pipeline) outCap() int {
+	if len(p.ops) == 0 {
+		return len(p.src.rows)
+	}
+	return 0
 }
 
 func (p *pipeline) pure() bool {
@@ -405,18 +414,8 @@ func (p *pipeline) run(ctx *execContext, producePure bool,
 	return flushCascade()
 }
 
-// morselSource is the pull face of the streaming dataflow: the operator
-// interface later subsystems (optimizer, paged storage) plug into. Open
-// snapshots the execution configuration, Next returns morsels until ok=false,
-// Close releases whatever the source still holds.
-type morselSource interface {
-	Open(goctx context.Context, cfg ExecConfig) error
-	Next() (morsel, bool, error)
-	Close() error
-}
-
-// pipelineSource adapts a pipeline to morselSource, driving it serially on
-// the caller's goroutine: spans pull through the op chain in order, then the
+// pipelineSource pulls a pipeline's morsels serially on the caller's
+// goroutine: spans pull through the op chain in order, then the
 // op flushes cascade through their downstream ops into a pending queue.
 type pipelineSource struct {
 	ctx     *execContext
@@ -440,7 +439,6 @@ func (s *pipelineSource) Open(goctx context.Context, cfg ExecConfig) error {
 	sub.workers = 1
 	sub.morsel = cfg.morsel()
 	sub.pinned = cfg.morselPinned()
-	sub.vector = cfg.vectorized()
 	s.ctx = &sub
 	s.spans = s.p.spans(s.ctx)
 	s.p.trace.setMorsels(len(s.spans))
@@ -572,10 +570,11 @@ func (ctx *execContext) materializeStream(p *pipeline) (*relation, error) {
 // ---- Filter operator ----
 
 // filterOp applies the WHERE predicate per morsel, emitting a selection
-// vector over the input rows (no row copying). The batch path runs the
-// compiled kernel over each morsel; the scalar path evaluates row by row.
+// vector over the input rows (no row copying). A pure predicate runs as a
+// batch kernel over each morsel; an impure one (a subquery, whose closure
+// memoizes its result) evaluates row by row through its compiled closure.
 // Both stop a morsel at its first failing row, so with ordered consumption
-// the surfaced error matches the serial loop.
+// the surfaced error matches a serial loop.
 type filterOp struct {
 	scalar evalFn
 	batch  batchExpr
@@ -585,11 +584,11 @@ type filterOp struct {
 	ids    [][]int
 }
 
-// newFilterOp compiles where against rel, choosing the batch kernel exactly
-// when the materialized executor would (vectorized mode, pure predicate).
+// newFilterOp compiles where against rel: a batch kernel when the predicate
+// is pure, the row closure otherwise.
 func (ctx *execContext) newFilterOp(rel *relation, where sqlparser.Expr) (*filterOp, error) {
 	f := &filterOp{isPure: exprPure(where)}
-	if ctx.vector && f.isPure {
+	if f.isPure {
 		f.batch = compileBatchExpr(rel, ctx, where)
 		return f, nil
 	}
@@ -673,8 +672,8 @@ func (f *filterOp) apply(ctx *execContext, w int, m morsel) (morsel, error) {
 // index over the (materialized) right side is constructed up front — the
 // join's pipeline breaker — and each left morsel probes it, emitting combined
 // rows. Outer-join padding is deferred to flush: unmatched left rows buffer
-// per morsel and emit in morsel order, then unmatched right rows, exactly the
-// [matches..., left pads..., right pads...] order of the materialized join.
+// per morsel and emit in morsel order, then unmatched right rows: the
+// [matches..., left pads..., right pads...] order of a serial join.
 type hashJoinOp struct {
 	kind       sqlparser.JoinKind
 	probe      joinProbe
@@ -693,8 +692,8 @@ func (o *hashJoinOp) bind(n int) {
 	o.padBufs = make(map[int][][]Value)
 }
 
-// pure mirrors the materialized join's parallel-probe gate: residuals may
-// embed subquery state that is not worker-safe.
+// pure gates the parallel probe: residuals may embed subquery state that is
+// not worker-safe.
 func (o *hashJoinOp) pure() bool { return o.resPure }
 func (o *hashJoinOp) abort()     {}
 
@@ -786,12 +785,11 @@ func (o *hashJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 }
 
 // graceJoinOp streams the probe side of an out-of-core Grace join. The build
-// side is partitioned to disk at construction (level 0, as the materialized
-// grace root does); apply streams probe rows straight into the probe
-// partition writers, so the probe side never materializes in memory — the
-// spill budget is the back-pressure valve. flush joins partition pairs with
-// the shared graceNode recursion and emits matches (restored to serial probe
-// order) then outer pads.
+// side is partitioned to disk at construction (level 0); apply streams probe
+// rows straight into the probe partition writers, so the probe side never
+// materializes in memory — the spill budget is the back-pressure valve. flush
+// joins partition pairs with the graceNode recursion and emits matches
+// (restored to serial probe order) then outer pads.
 type graceJoinOp struct {
 	kind       sqlparser.JoinKind
 	keys       []equiKey
@@ -816,7 +814,7 @@ type graceJoinOp struct {
 }
 
 // newGraceJoinOp partitions the build side and opens the probe partition
-// writers, mirroring the materialized grace root's level-0 work and stats.
+// writers: the level-0 work and stats of the partitioned join.
 func (ctx *execContext) newGraceJoinOp(kind sqlparser.JoinKind, keys []equiKey,
 	resFns []evalFn, right *relation, nLeftCols int) (*graceJoinOp, error) {
 	o := &graceJoinOp{kind: kind, keys: keys, resFns: resFns, rightRows: right.rows,
@@ -1000,7 +998,7 @@ func (o *graceJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 
 // buildFromPipeline evaluates the FROM clause into a streaming pipeline. The
 // common single-item forms stream; the cross-join chain of a multi-item FROM
-// materializes pairwise exactly as the materialized executor does.
+// materializes pairwise.
 func (ctx *execContext) buildFromPipeline(items []sqlparser.TableExpr) (*pipeline, error) {
 	if len(items) == 0 {
 		return ctx.scanPipeline(&relation{rows: [][]Value{{}}}), nil
@@ -1052,26 +1050,27 @@ func (ctx *execContext) buildTablePipeline(te sqlparser.TableExpr) (*pipeline, e
 	return ctx.pushJoin(p, t, right)
 }
 
-// pushJoin appends the streaming operator for one join, or falls back to the
-// materialized join for shapes the streaming probe does not cover (cross
-// joins, conditions with no equality keys).
+// pushJoin appends the streaming operator for one join, or materializes the
+// stream and joins it with a materialized operator for the shapes the
+// streaming probe does not cover (cross joins, conditions with no equality
+// keys).
 func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *relation) (*pipeline, error) {
 	left := p.rel
 	cols := append(append([]relCol{}, left.cols...), right.cols...)
 
-	materialized := func() (*pipeline, error) {
+	materialized := func(join func(left *relation) (*relation, error)) (*pipeline, error) {
 		rel, err := ctx.materializeStream(p)
 		if err != nil {
 			return nil, err
 		}
-		joined, err := ctx.join(t, rel, right)
+		joined, err := join(rel)
 		if err != nil {
 			return nil, err
 		}
 		return ctx.scanPipeline(joined), nil
 	}
 	if t.Kind == sqlparser.JoinCross {
-		return materialized()
+		return materialized(func(l *relation) (*relation, error) { return ctx.crossJoin(l, right) })
 	}
 
 	var keys []equiKey
@@ -1096,7 +1095,9 @@ func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *rela
 	}
 	if len(keys) == 0 {
 		// Nested-loop fallback: quadratic and possibly subquery-bearing.
-		return materialized()
+		return materialized(func(l *relation) (*relation, error) {
+			return ctx.nestedLoopJoin(t.Kind, l, right, residual)
+		})
 	}
 
 	combined := &relation{cols: cols}
@@ -1129,7 +1130,7 @@ func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *rela
 	ctx.pstats.breaker(estRowsBytes(right.rows))
 	op := &hashJoinOp{kind: t.Kind,
 		probe: joinProbe{keys: keys, index: index, right: right.rows,
-			resFns: resFns, width: len(cols), vector: ctx.vector},
+			resFns: resFns, width: len(cols)},
 		rightRows: right.rows, nLeftCols: len(left.cols), nRightCols: len(right.cols),
 		resPure: exprsPure(residual)}
 	var detail string
@@ -1142,17 +1143,47 @@ func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *rela
 
 // ---- Projection sinks ----
 
+// projOut is one morsel's projection output: n rows packed row-major into
+// one slab, plus their ORDER BY keys when the statement sorts.
+type projOut struct {
+	n    int
+	slab []Value
+	keys [][]Value
+}
+
+// appendRows appends the morsel's rows to dst as capacity-capped windows of
+// the slab, each width values wide.
+func (po projOut) appendRows(dst [][]Value, width int) [][]Value {
+	for i := 0; i < po.n; i++ {
+		lo, hi := i*width, (i+1)*width
+		dst = append(dst, po.slab[lo:hi:hi])
+	}
+	return dst
+}
+
+// projWidth returns the output row width of a projection: star specs copy
+// their column range, every other spec yields one value.
+func projWidth(specs []projSpec) int {
+	w := 0
+	for _, ps := range specs {
+		if ps.star {
+			w += ps.upto - ps.from
+		} else {
+			w++
+		}
+	}
+	return w
+}
+
 // executeProjectionStream is the non-aggregated sink: each morsel leaving the
 // pipeline projects to output rows (and ORDER BY keys) on a worker, and the
-// ordered consumer appends them — per-row work and output order are exactly
-// the materialized projection's. A pipeline with no operators is already a
-// materialized scan, so it takes the original path unchanged.
+// ordered consumer appends them in morsel order. Pure projections with
+// computed expressions take the batch-kernel sink; bare-column projections
+// only copy values, and impure ones (subqueries) need their closures, so both
+// evaluate row by row here.
 func (ctx *execContext) executeProjectionStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
-	if len(p.ops) == 0 {
-		return ctx.executeProjection(stmt, p.src, nil)
-	}
-	if ctx.vector && projectionPure(stmt) && projectionBatchWorthwhile(stmt) {
-		return ctx.executeProjectionBatchStream(stmt, p)
+	if projectionPure(stmt) && projectionBatchWorthwhile(stmt) {
+		return ctx.executeBatchProjectionStream(stmt, p)
 	}
 	rel := p.rel
 	names, pspecs, err := buildProjSpecs(stmt, rel)
@@ -1187,38 +1218,35 @@ func (ctx *execContext) executeProjectionStream(stmt *sqlparser.SelectStmt, p *p
 		keyFns = fns
 	}
 
-	out := &ResultSet{Columns: names, Rows: [][]Value{}}
+	width := projWidth(pspecs)
+	out := &ResultSet{Columns: names, Rows: make([][]Value, 0, p.outCap())}
 	var sortKeys [][]Value
-	type projOut struct {
-		rows [][]Value
-		keys [][]Value
-	}
 	produce := func(_ int, m morsel) (any, error) {
 		in := m.dense()
-		rows := make([][]Value, 0, len(in))
 		var keys [][]Value
 		if needSort {
 			keys = make([][]Value, 0, len(in))
 		}
+		slab := make([]Value, 0, len(in)*width)
 		for i, row := range in {
 			if i%ctx.morsel == 0 {
 				if err := ctx.err(); err != nil {
 					return nil, err
 				}
 			}
-			outRow := make([]Value, 0, len(names))
+			off := len(slab)
 			for _, spec := range specs {
 				if spec.star {
-					outRow = append(outRow, row[spec.from:spec.upto]...)
+					slab = append(slab, row[spec.from:spec.upto]...)
 					continue
 				}
 				v, err := spec.eval(row)
 				if err != nil {
 					return nil, err
 				}
-				outRow = append(outRow, v)
+				slab = append(slab, v)
 			}
-			rows = append(rows, outRow)
+			outRow := slab[off:len(slab):len(slab)]
 			if needSort {
 				key := make([]Value, len(keyFns))
 				for k, fn := range keyFns {
@@ -1231,12 +1259,12 @@ func (ctx *execContext) executeProjectionStream(stmt *sqlparser.SelectStmt, p *p
 				keys = append(keys, key)
 			}
 		}
-		return projOut{rows: rows, keys: keys}, nil
+		return projOut{n: len(in), slab: slab, keys: keys}, nil
 	}
 	produce, ptrace := ctx.prof.sink("project", produce)
 	err = p.run(ctx, projectionPure(stmt), produce, func(payload any) error {
 		po := payload.(projOut)
-		out.Rows = append(out.Rows, po.rows...)
+		out.Rows = po.appendRows(out.Rows, width)
 		if needSort {
 			sortKeys = append(sortKeys, po.keys...)
 		}
@@ -1249,12 +1277,17 @@ func (ctx *execContext) executeProjectionStream(stmt *sqlparser.SelectStmt, p *p
 	return out, sortKeys, nil
 }
 
-// executeProjectionBatchStream is the vectorized projection sink: per worker,
+// executeBatchProjectionStream is the vectorized projection sink: per worker,
 // every select-list expression and computed ORDER BY key evaluates as a batch
-// kernel over the morsel's selection, with the same chained-prefix error
-// semantics as the materialized batch projection (the surfaced error is the
-// row-major-first failure regardless of morsel boundaries).
-func (ctx *execContext) executeProjectionBatchStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
+// kernel over the morsel's selection.
+//
+// Error determinism: within one morsel, each expression evaluates over the
+// prefix the previous expressions completed (the batchExpr contract), so the
+// surviving (row, expression) error is the first one a row loop evaluating
+// select items then sort keys left to right would hit; across morsels, the
+// drive keeps the lowest failing morsel. Positional ORDER BY references out
+// of range fail at the first row of the current prefix.
+func (ctx *execContext) executeBatchProjectionStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
 	rel := p.rel
 	names, specs, err := buildProjSpecs(stmt, rel)
 	if err != nil {
@@ -1288,12 +1321,9 @@ func (ctx *execContext) executeProjectionBatchStream(stmt *sqlparser.SelectStmt,
 	}
 	var pws []*projWorker
 	width := len(names)
-	out := &ResultSet{Columns: names, Rows: [][]Value{}}
+	rowWidth := projWidth(specs)
+	out := &ResultSet{Columns: names, Rows: make([][]Value, 0, p.outCap())}
 	var sortKeys [][]Value
-	type projOut struct {
-		rows [][]Value
-		keys [][]Value
-	}
 	produce := func(w int, m morsel) (any, error) {
 		pw := pws[w]
 		if pw == nil {
@@ -1338,10 +1368,8 @@ func (ctx *execContext) executeProjectionBatchStream(stmt *sqlparser.SelectStmt,
 			}
 		}
 
-		slab := make([]Value, 0, nOK*width)
-		rows := make([][]Value, 0, nOK)
+		slab := make([]Value, 0, nOK*rowWidth)
 		for i := 0; i < nOK; i++ {
-			off := len(slab)
 			for si, ps := range specs {
 				if ps.star {
 					slab = append(slab, m.rows[msel[i]][ps.from:ps.upto]...)
@@ -1349,9 +1377,8 @@ func (ctx *execContext) executeProjectionBatchStream(stmt *sqlparser.SelectStmt,
 				}
 				slab = append(slab, pw.vecs[vecSlot[si]].value(i))
 			}
-			rows = append(rows, slab[off:len(slab):len(slab)])
 		}
-		po := projOut{rows: rows}
+		po := projOut{n: nOK, slab: slab}
 		if needSort {
 			keys := make([][]Value, nOK)
 			keySlab := make([]Value, nOK*len(keySpecs))
@@ -1361,7 +1388,7 @@ func (ctx *execContext) executeProjectionBatchStream(stmt *sqlparser.SelectStmt,
 					if ks.eval != nil {
 						key[ki] = pw.keyVecs[ki].value(i)
 					} else {
-						key[ki] = rows[i][ks.pos]
+						key[ki] = slab[i*rowWidth+ks.pos]
 					}
 				}
 				keys[i] = key
@@ -1377,7 +1404,7 @@ func (ctx *execContext) executeProjectionBatchStream(stmt *sqlparser.SelectStmt,
 	produce, ptrace := ctx.prof.sink("project_vec", produce)
 	err = p.run(ctx, true, produce, func(payload any) error {
 		po := payload.(projOut)
-		out.Rows = append(out.Rows, po.rows...)
+		out.Rows = po.appendRows(out.Rows, rowWidth)
 		if needSort {
 			sortKeys = append(sortKeys, po.keys...)
 		}

@@ -7,30 +7,20 @@ import (
 	"flexdp/internal/sqlparser"
 )
 
-// BenchmarkStreamingPipeline pits the streamed executor against the
-// materialized one on the same scan → filter → grouped-aggregate plan. The
-// streamed run keeps at most a bounded window of morsels in flight between
-// stages instead of a full intermediate relation per stage; it must be no
-// slower than materializing (the acceptance bar for making streaming the
-// default), and on filter-heavy plans the skipped allocation shows up as a
-// win.
+// BenchmarkStreamingPipeline measures the streamed executor on a scan →
+// filter → grouped-aggregate plan, which keeps at most a bounded window of
+// morsels in flight between stages instead of a full intermediate relation
+// per stage.
 func BenchmarkStreamingPipeline(b *testing.B) {
 	db := benchDB(b, 100000)
 	base := db.ExecConfig()
 	defer db.SetExecConfig(base)
 	const sql = `SELECT city_id, COUNT(*), SUM(fare), AVG(fare) FROM trips
 		 WHERE status <> 'requested' AND fare > 5.0 GROUP BY city_id`
-	for _, mode := range []struct {
-		name        string
-		materialize bool
-	}{{"materialized", true}, {"streamed", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := base
-			cfg.MaterializeStages = mode.materialize
-			db.SetExecConfig(cfg)
-			benchQuery(b, db, sql)
-		})
-	}
+	b.Run("streamed", func(b *testing.B) {
+		db.SetExecConfig(base)
+		benchQuery(b, db, sql)
+	})
 	// profiled = streamed + an execution trace per run: the telemetry
 	// overhead bar (benchgate compares it against streamed at a 2% budget).
 	b.Run("profiled", func(b *testing.B) {

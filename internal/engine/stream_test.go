@@ -6,67 +6,26 @@ import (
 	"testing"
 )
 
-// Differential tests for the streaming morsel dataflow: the streamed executor
-// (the default) must return bit-identical results to the materialized
-// executor (ExecConfig.MaterializeStages) for every query of the parallel
-// corpus, at worker counts {1, 2, 8}, with and without vectorized kernels,
-// with and without a tiny memory budget. A separate test pins the point of
-// streaming: whole-query peak memory stays far below the source size for a
-// fully-foldable scan → filter → aggregate pipeline, with zero
-// pipeline-breaker materializations.
-
-// runStreamDifferential compares the materialized serial reference against
-// the streamed executor across the worker × budget × vectorized grid.
-func runStreamDifferential(t *testing.T, db *DB, queries []string, label string) {
-	t.Helper()
-	base := db.ExecConfig()
-	defer db.SetExecConfig(base)
-	for _, sql := range queries {
-		ref := base
-		ref.MaterializeStages = true
-		ref.Parallelism = 1
-		ref.MemoryBudget = 0
-		db.SetExecConfig(ref)
-		want, err := db.Query(sql)
-		if err != nil {
-			t.Fatalf("%s materialized %s: %v", label, sql, err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			for _, budget := range []int64{0, 512} {
-				for _, novec := range []bool{false, true} {
-					cfg := base
-					cfg.MaterializeStages = false
-					cfg.Parallelism = workers
-					cfg.MemoryBudget = budget
-					cfg.DisableVectorized = novec
-					db.SetExecConfig(cfg)
-					got, err := db.Query(sql)
-					if err != nil {
-						t.Fatalf("%s workers=%d budget=%d novec=%v %s: %v",
-							label, workers, budget, novec, sql, err)
-					}
-					if diff := resultsEqualExact(want, got); diff != "" {
-						t.Fatalf("%s workers=%d budget=%d novec=%v %s: %s",
-							label, workers, budget, novec, sql, diff)
-					}
-				}
-			}
-		}
-	}
-}
+// Differential tests for the streaming morsel dataflow: every query of the
+// parallel and spill corpora must reproduce the retired materialized
+// executor's recorded results bit for bit (oracle_test.go) at worker counts
+// {1, 2, 8}, with and without a tiny memory budget. A separate test pins the
+// point of streaming: whole-query peak memory stays far below the source size
+// for fully-foldable scan → aggregate pipelines, with zero pipeline-breaker
+// materializations.
 
 // TestStreamedMatchesMaterialized runs the morsel-executor corpus (joins
 // including outer, grouped aggregation, DISTINCT, ORDER BY, set operations,
 // subquery fallbacks) over randomized databases, requiring the streamed
-// executor to reproduce the materialized executor bit for bit across the
-// whole execution-config grid.
+// executor to reproduce the materialized executor's recorded results bit for
+// bit across the whole execution-config grid.
 func TestStreamedMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(977))
 	for trial := 0; trial < 2; trial++ {
 		db := parallelTestDB(rng, 80+rng.Intn(160))
 		db.SetTempDir(t.TempDir())
 		db.SetMorselSize(8)
-		runStreamDifferential(t, db, parallelQueries, fmt.Sprintf("trial %d", trial))
+		runDifferential(t, db, parallelQueries, fmt.Sprintf("trial %d", trial))
 	}
 }
 
@@ -77,7 +36,7 @@ func TestStreamedMatchesMaterializedFixture(t *testing.T) {
 	db := testDB(t)
 	db.SetTempDir(t.TempDir())
 	db.SetMorselSize(2)
-	runStreamDifferential(t, db, spillQueries, "fixture")
+	runDifferential(t, db, spillQueries, "fixture")
 }
 
 // streamPeakDB builds a single wide table big enough that holding it
@@ -104,56 +63,53 @@ func streamPeakDB(rows int) *DB {
 }
 
 // TestStreamingBoundsPeakMemory pins the whole-query memory claim: a scan →
-// filter → ungrouped-aggregate query over a table far larger than the morsel
-// window folds incrementally, so the peak in-flight morsel footprint stays a
-// small fraction of the source relation and no stage materializes
-// (BreakerMaterializations stays zero). The streamed result must still match
-// the materialized executor bit for bit.
+// (filter →) ungrouped-aggregate query over a table far larger than the
+// morsel window folds incrementally, so the peak in-flight morsel footprint
+// stays a small fraction of the source relation and no stage materializes
+// (BreakerMaterializations stays zero) — with or without a WHERE clause. The
+// streamed result must still match the recorded reference bit for bit.
 func TestStreamingBoundsPeakMemory(t *testing.T) {
 	const rows = 20000
-	const sql = `SELECT COUNT(*), SUM(v), AVG(f), MIN(v), MAX(f) FROM big WHERE v % 3 <> 0`
-
-	refDB := streamPeakDB(rows)
-	cfg := refDB.ExecConfig()
-	cfg.MaterializeStages = true
-	cfg.Parallelism = 1
-	refDB.SetExecConfig(cfg)
-	want, err := refDB.Query(sql)
-	if err != nil {
-		t.Fatalf("materialized reference: %v", err)
+	queries := []string{
+		`SELECT COUNT(*), SUM(v), AVG(f), MIN(v), MAX(f) FROM big WHERE v % 3 <> 0`,
+		`SELECT COUNT(*), SUM(v), AVG(f), MIN(v), MAX(f) FROM big`,
 	}
+	refDB := streamPeakDB(rows)
+	for i, sql := range queries {
+		key := fmt.Sprintf("%s/peak/q%02d", t.Name(), i)
+		want := referenceDigest(t, refDB, key, sql)
+		for _, workers := range []int{1, 2, 8} {
+			// Fresh database per worker count: PeakMorselBytes folds into the
+			// database totals by maximum, so reuse would blur the measurements.
+			db := streamPeakDB(rows)
+			db.SetParallelism(workers)
+			db.SetMorselSize(64)
+			total := estRowsBytes(db.Table("big").Rows)
 
-	for _, workers := range []int{1, 2, 8} {
-		// Fresh database per worker count: PeakMorselBytes folds into the
-		// database totals by maximum, so reuse would blur the measurements.
-		db := streamPeakDB(rows)
-		db.SetParallelism(workers)
-		db.SetMorselSize(64)
-		total := estRowsBytes(db.Table("big").Rows)
+			got, err := db.Query(sql)
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, sql, err)
+			}
+			if d := resultDigest(got); d != want {
+				t.Fatalf("workers=%d %s: result digest %s, reference %s", workers, sql, d, want)
+			}
 
-		got, err := db.Query(sql)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if diff := resultsEqualExact(want, got); diff != "" {
-			t.Fatalf("workers=%d streamed result diverged: %s", workers, diff)
-		}
-
-		st := db.SpillStats()
-		if st.BreakerMaterializations != 0 {
-			t.Errorf("workers=%d: %d breaker materializations on a fully-foldable pipeline, want 0",
-				workers, st.BreakerMaterializations)
-		}
-		if st.PeakMorselBytes <= 0 {
-			t.Errorf("workers=%d: peak morsel bytes not recorded", workers)
-		}
-		// The bounded window admits at most workers × window morsels; with a
-		// 64-row morsel over a 20000-row table that is a few percent of the
-		// source. A quarter is a generous ceiling that still fails if any
-		// stage silently materializes the stream.
-		if st.PeakMorselBytes >= total/4 {
-			t.Errorf("workers=%d: peak %d bytes in flight is not bounded (source ≈ %d bytes)",
-				workers, st.PeakMorselBytes, total)
+			st := db.SpillStats()
+			if st.BreakerMaterializations != 0 {
+				t.Errorf("workers=%d %s: %d breaker materializations on a fully-foldable pipeline, want 0",
+					workers, sql, st.BreakerMaterializations)
+			}
+			if st.PeakMorselBytes <= 0 {
+				t.Errorf("workers=%d %s: peak morsel bytes not recorded", workers, sql)
+			}
+			// The bounded window admits at most workers × window morsels; with
+			// a 64-row morsel over a 20000-row table that is a few percent of
+			// the source. A quarter is a generous ceiling that still fails if
+			// any stage silently materializes the stream.
+			if st.PeakMorselBytes >= total/4 {
+				t.Errorf("workers=%d %s: peak %d bytes in flight is not bounded (source ≈ %d bytes)",
+					workers, sql, st.PeakMorselBytes, total)
+			}
 		}
 	}
 }

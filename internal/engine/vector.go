@@ -371,17 +371,3 @@ func identitySel(n int) []int {
 	}
 	return ids
 }
-
-// applySel materializes the selected rows of a relation for consumers that
-// need plain row slices (the serial and spilled fallback paths). A nil
-// selection means "all rows" and returns rel unchanged.
-func applySel(rel *relation, sel []int) *relation {
-	if sel == nil {
-		return rel
-	}
-	rows := make([][]Value, len(sel))
-	for i, ri := range sel {
-		rows[i] = rel.rows[ri]
-	}
-	return &relation{cols: rel.cols, rows: rows, idx: rel.idx, sig: rel.sig}
-}

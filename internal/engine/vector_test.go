@@ -8,10 +8,11 @@ import (
 )
 
 // Differential suite for the vectorized expression kernels: every test here
-// compares the batch path against the row-at-a-time closures
-// (SetVectorized(false), one worker) and requires bit-identical result sets
-// — including float bit patterns — at worker counts {1, 2, 8}. The scalar
-// path is the semantics oracle; vectorization must be unobservable.
+// checks the batch path against the recorded results of the retired
+// row-at-a-time evaluator (oracle_test.go) and requires bit-identical result
+// sets — including float bit patterns — across the worker × budget grid. The
+// scalar path's recorded results are the semantics oracle; vectorization must
+// be unobservable.
 
 // vectorQueries stresses kernel edge cases beyond the parallelQueries
 // corpus: three-valued logic, NULL propagation through arithmetic and
@@ -38,29 +39,6 @@ var vectorQueries = []string{
 	`SELECT k, f FROM t WHERE f > 30.0 ORDER BY 2 DESC, 1`,
 }
 
-// runDifferential executes sql with the row-at-a-time path as reference and
-// requires the vectorized path to agree exactly at each worker count.
-func runDifferential(t *testing.T, db *DB, sql string, label string) {
-	t.Helper()
-	db.SetVectorized(false)
-	db.SetParallelism(1)
-	want, err := db.Query(sql)
-	if err != nil {
-		t.Fatalf("%s scalar %s: %v", label, sql, err)
-	}
-	db.SetVectorized(true)
-	for _, workers := range []int{1, 2, 8} {
-		db.SetParallelism(workers)
-		got, err := db.Query(sql)
-		if err != nil {
-			t.Fatalf("%s vector workers=%d %s: %v", label, workers, sql, err)
-		}
-		if diff := resultsEqualExact(want, got); diff != "" {
-			t.Fatalf("%s vector workers=%d %s: %s", label, workers, sql, diff)
-		}
-	}
-}
-
 // TestVectorizedMatchesRowPath runs the full engine corpus (the parallel
 // suite plus the kernel edge cases) over randomized NULL-bearing databases,
 // once with a pinned 8-row morsel and once under adaptive sizing.
@@ -72,10 +50,7 @@ func TestVectorizedMatchesRowPath(t *testing.T) {
 		if trial%2 == 0 {
 			db.SetMorselSize(8)
 		}
-		label := fmt.Sprintf("trial %d", trial)
-		for _, sql := range queries {
-			runDifferential(t, db, sql, label)
-		}
+		runDifferential(t, db, queries, fmt.Sprintf("trial %d", trial))
 	}
 }
 
@@ -105,7 +80,7 @@ func TestVectorizedNaNAndSpecialFloats(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetMorselSize(8)
-	for _, sql := range []string{
+	runDifferential(t, db, []string{
 		`SELECT id FROM n WHERE f > 1.0`,
 		`SELECT id FROM n WHERE f <= 1.0`,
 		`SELECT id FROM n WHERE f >= 0.0`,
@@ -116,9 +91,7 @@ func TestVectorizedNaNAndSpecialFloats(t *testing.T) {
 		`SELECT id, f FROM n ORDER BY f DESC, id`,
 		`SELECT COUNT(*), SUM(f), MIN(f), MAX(f), AVG(f) FROM n`,
 		`SELECT f, COUNT(*) FROM n GROUP BY f`,
-	} {
-		runDifferential(t, db, sql, "nan")
-	}
+	}, "nan")
 }
 
 // TestVectorizedMixedKindColumn puts ints, floats, strings, bools, and
@@ -154,7 +127,7 @@ func TestVectorizedMixedKindColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetMorselSize(8)
-	for _, sql := range []string{
+	runDifferential(t, db, []string{
 		`SELECT id FROM m WHERE x > 10`,
 		`SELECT id FROM m WHERE x = 20`,
 		`SELECT id FROM m WHERE x IS NULL`,
@@ -162,16 +135,14 @@ func TestVectorizedMixedKindColumn(t *testing.T) {
 		`SELECT COUNT(*) FROM m WHERE x <> 3`,
 		`SELECT id FROM m WHERE x >= 'a'`,
 		`SELECT x, COUNT(*) FROM m GROUP BY x ORDER BY 2 DESC, id`,
-	} {
-		runDifferential(t, db, sql, "mixed")
-	}
+	}, "mixed")
 }
 
 // TestVectorErrorLowestRow: rows 0..49 hold ints, 50.. hold strings, so
 // arithmetic involving column x first fails at row 50. The batch kernels'
 // prefix-error contract plus runSpans' lowest-morsel rule must surface the
-// identical error message as the serial scalar scan at every worker count
-// and in both evaluation modes.
+// error the retired serial row-at-a-time scan returned (recorded below as
+// literal strings) at every worker count and memory budget.
 func TestVectorErrorLowestRow(t *testing.T) {
 	db := NewDB()
 	db.MustCreateTable("e", []Column{
@@ -190,30 +161,26 @@ func TestVectorErrorLowestRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetMorselSize(8)
-	for _, sql := range []string{
-		`SELECT COUNT(*) FROM e WHERE -x > 0`,
-		`SELECT x + 1 FROM e`,
-		`SELECT id FROM e WHERE id + 1 > 0 AND x * 2 > 0`,
-		`SELECT id FROM e ORDER BY x / 3`,
-		`SELECT x % 5, COUNT(*) FROM e GROUP BY x % 5`,
-		`SELECT id, SUM(x * 2) FROM e GROUP BY id`,
+	for _, c := range []struct{ sql, want string }{
+		{`SELECT COUNT(*) FROM e WHERE -x > 0`, "engine: cannot negate STRING"},
+		{`SELECT x + 1 FROM e`, "engine: arithmetic on non-numeric STRING + INT"},
+		{`SELECT id FROM e WHERE id + 1 > 0 AND x * 2 > 0`, "engine: arithmetic on non-numeric STRING * INT"},
+		{`SELECT id FROM e ORDER BY x / 3`, "engine: arithmetic on non-numeric STRING / INT"},
+		{`SELECT x % 5, COUNT(*) FROM e GROUP BY x % 5`, "engine: arithmetic on non-numeric STRING % INT"},
+		{`SELECT id, SUM(x * 2) FROM e GROUP BY id`, "engine: arithmetic on non-numeric STRING * INT"},
 	} {
-		db.SetVectorized(false)
-		db.SetParallelism(1)
-		_, want := db.Query(sql)
-		if want == nil {
-			t.Fatalf("scalar %s: expected error", sql)
-		}
-		db.SetVectorized(true)
 		for _, workers := range []int{1, 2, 8} {
-			db.SetParallelism(workers)
-			_, err := db.Query(sql)
-			if err == nil {
-				t.Fatalf("vector workers=%d %s: expected error", workers, sql)
-			}
-			if err.Error() != want.Error() {
-				t.Fatalf("vector workers=%d %s: error %q, scalar path said %q",
-					workers, sql, err, want)
+			for _, budget := range []int64{0, 512} {
+				db.SetParallelism(workers)
+				db.SetMemoryBudget(budget)
+				_, err := db.Query(c.sql)
+				if err == nil {
+					t.Fatalf("workers=%d budget=%d %s: expected error", workers, budget, c.sql)
+				}
+				if err.Error() != c.want {
+					t.Fatalf("workers=%d budget=%d %s: error %q, reference said %q",
+						workers, budget, c.sql, err, c.want)
+				}
 			}
 		}
 	}

@@ -18,20 +18,15 @@ import (
 // alongside the paper-figure experiments, and doubles as a determinism
 // check: serial and parallel results are compared row by row.
 
-// EngineBenchQuery is one query's timing across evaluation settings:
-// scalar (row-at-a-time closures, one worker), serial (vectorized kernels,
-// one worker), and parallel (vectorized, one worker per CPU).
+// EngineBenchQuery is one query's timing across worker settings: serial
+// (one worker) and parallel (one worker per CPU).
 type EngineBenchQuery struct {
 	Name       string  `json:"name"`
 	SQL        string  `json:"sql"`
-	ScalarMS   float64 `json:"scalar_ms"`
 	SerialMS   float64 `json:"serial_ms"`
 	ParallelMS float64 `json:"parallel_ms"`
 	Speedup    float64 `json:"speedup"`
-	// VectorSpeedup is scalar over serial: the batching win by itself,
-	// isolated from parallel scaling.
-	VectorSpeedup float64 `json:"vector_speedup"`
-	// Identical reports whether the scalar, serial, parallel, and profiled
+	// Identical reports whether the serial, parallel, and profiled
 	// results were all bit-identical (it must always be true; recorded so a
 	// regression is visible in the benchmark artifact, not just in tests).
 	Identical bool `json:"identical"`
@@ -57,11 +52,11 @@ type EngineBenchResult struct {
 func (r EngineBenchResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Engine executor (%d rows, %d workers, morsel %d)\n", r.Rows, r.Workers, r.MorselSize)
-	fmt.Fprintf(&b, "%-28s %10s %10s %12s %7s %7s %5s\n",
-		"query", "scalar ms", "serial ms", "parallel ms", "vec", "par", "same")
+	fmt.Fprintf(&b, "%-28s %10s %12s %7s %5s\n",
+		"query", "serial ms", "parallel ms", "par", "same")
 	for _, q := range r.Queries {
-		fmt.Fprintf(&b, "%-28s %10.2f %10.2f %12.2f %6.2fx %6.2fx %5v\n",
-			q.Name, q.ScalarMS, q.SerialMS, q.ParallelMS, q.VectorSpeedup, q.Speedup, q.Identical)
+		fmt.Fprintf(&b, "%-28s %10.2f %12.2f %6.2fx %5v\n",
+			q.Name, q.SerialMS, q.ParallelMS, q.Speedup, q.Identical)
 	}
 	return strings.TrimRight(b.String(), "\n")
 }
@@ -110,14 +105,11 @@ func engineBenchDB(seed int64, n int) *engine.DB {
 	return db
 }
 
-// RunEngineParallel times the engine's hot paths in three settings —
-// row-at-a-time scalar closures (one worker), vectorized kernels (one
-// worker), and vectorized with one worker per CPU — taking the best of reps
-// runs for each.
+// RunEngineParallel times the engine's hot paths at one worker and at one
+// worker per CPU, taking the best of reps runs for each.
 func RunEngineParallel(seed int64, rows, reps int) EngineBenchResult {
 	db := engineBenchDB(seed, rows)
 	defer db.SetParallelism(0)
-	defer db.SetVectorized(true)
 	queries := []struct{ name, sql string }{
 		{"scan_filter", `SELECT id, fare * 1.1 FROM trips
 			WHERE status = 'completed' AND fare > 10.0 AND city_id < 15`},
@@ -133,23 +125,17 @@ func RunEngineParallel(seed int64, rows, reps int) EngineBenchResult {
 	}
 	for _, q := range queries {
 		db.SetParallelism(1)
-		db.SetVectorized(false)
-		scalar, scalarMS := timeQuery(db, q.sql, reps)
-		db.SetVectorized(true)
 		serial, serialMS := timeQuery(db, q.sql, reps)
 		db.SetParallelism(0)
 		parallel, parallelMS := timeQuery(db, q.sql, reps)
 		profiled, prof := profileQuery(db, q.sql)
 		res.Queries = append(res.Queries, EngineBenchQuery{
-			Name:          q.name,
-			SQL:           q.sql,
-			ScalarMS:      scalarMS,
-			SerialMS:      serialMS,
-			ParallelMS:    parallelMS,
-			Speedup:       serialMS / parallelMS,
-			VectorSpeedup: scalarMS / serialMS,
+			Name:       q.name,
+			SQL:        q.sql,
+			SerialMS:   serialMS,
+			ParallelMS: parallelMS,
+			Speedup:    serialMS / parallelMS,
 			Identical: resultSetsIdentical(serial, parallel) &&
-				resultSetsIdentical(scalar, serial) &&
 				resultSetsIdentical(parallel, profiled),
 			Profile: prof,
 		})

@@ -13,6 +13,8 @@
 package smooth
 
 import (
+	crand "crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -77,7 +79,8 @@ func (s Smoothed) NoiseScale(epsilon float64) float64 {
 
 // Smooth computes S = max_{k=0..maxK} e^{-βk}·Ŝ(k) (Definition 7 step 2).
 // maxK should be the database size n; use SmoothWithCutoff to exploit
-// Theorem 3.
+// Theorem 3. It fails closed: a NaN or infinite Ŝ(k) at any k is an error,
+// never a term silently dropped from the maximum or an infinite noise scale.
 func Smooth(fn SensitivityFn, maxK int, p PrivacyParams) (Smoothed, error) {
 	if err := p.Validate(); err != nil {
 		return Smoothed{}, err
@@ -89,6 +92,9 @@ func Smooth(fn SensitivityFn, maxK int, p PrivacyParams) (Smoothed, error) {
 		s, err := fn(k)
 		if err != nil {
 			return Smoothed{}, err
+		}
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return Smoothed{}, fmt.Errorf("smooth: non-finite sensitivity %g at k=%d", s, k)
 		}
 		if s < 0 {
 			return Smoothed{}, fmt.Errorf("smooth: negative sensitivity %g at k=%d", s, k)
@@ -158,9 +164,26 @@ type Mechanism struct {
 }
 
 // NewMechanism returns a mechanism seeded for reproducible experiments. A
-// deployment would seed from crypto/rand; the experiments need determinism.
+// deployment seeds it from crypto/rand (see ResolveSeed); the experiments
+// need determinism.
 func NewMechanism(seed int64) *Mechanism {
 	return &Mechanism{seed: seed, rng: rand.New(rand.NewSource(seed))}
+}
+
+// ResolveSeed maps a command's -seed flag to the noise seed it runs with. A
+// nonzero flag is an explicit fixed seed — reproducible noise, for
+// experiments and tests — and passes through unchanged. 0 draws a fresh seed
+// from crypto/rand, so no two processes replay one noise stream. fixed
+// reports which mode is active; callers may log the mode but never the seed.
+func ResolveSeed(flagSeed int64) (seed int64, fixed bool, err error) {
+	if flagSeed != 0 {
+		return flagSeed, true, nil
+	}
+	var b [8]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		return 0, false, fmt.Errorf("smooth: drawing a noise seed: %w", err)
+	}
+	return int64(binary.LittleEndian.Uint64(b[:])), false, nil
 }
 
 // splitmix64 is the SplitMix64 finalizer, used to derive well-separated

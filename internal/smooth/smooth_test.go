@@ -128,6 +128,31 @@ func TestSmoothErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestSmoothRejectsNonFinite pins the fail-closed rule: one non-finite Ŝ(k)
+// anywhere in the search range is an error. A NaN would otherwise fail both
+// comparisons and drop out of the maximum unnoticed, and +Inf would yield an
+// infinite noise scale.
+func TestSmoothRejectsNonFinite(t *testing.T) {
+	p := PrivacyParams{Epsilon: 0.1, Delta: 1e-9}
+	for _, c := range []struct {
+		name string
+		bad  float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+	} {
+		fn := func(k int) (float64, error) {
+			if k == 3 {
+				return c.bad, nil
+			}
+			return 1, nil
+		}
+		if got, err := Smooth(fn, 10, p); err == nil {
+			t.Errorf("%s at k=3: got %+v, want an error", c.name, got)
+		}
+	}
+}
+
 var errFake = &fakeError{}
 
 type fakeError struct{}
